@@ -25,12 +25,13 @@ from repro.events.relations import RelationConfig
 from repro.exceptions import ConfigError
 
 # ---------------------------------------------------------------------------
-# Compute-backend selection (numpy-optional kernels)
+# Compute-backend selection (numpy-optional vectorized paths)
 # ---------------------------------------------------------------------------
 
-#: Compute backends of the array kernels: ``auto`` uses numpy when it is
-#: importable, ``numpy`` requires it, ``python`` forces the pure-Python
-#: machine-word fallback (always available, always equivalent).
+#: Compute backends of the vectorized paths (front end, support sets,
+#: season gating): ``auto`` uses numpy when it is importable, ``numpy``
+#: requires it, ``python`` forces the pure-Python fallback (always
+#: available, always equivalent).
 COMPUTE_AUTO = "auto"
 COMPUTE_NUMPY = "numpy"
 COMPUTE_PYTHON = "python"
@@ -70,8 +71,8 @@ def set_compute_backend(backend: str | None) -> str | None:
     """Set the process-wide compute backend; returns the previous override.
 
     ``None`` clears the override (falling back to the environment /
-    ``auto``).  The selection only affects *speed*: every array kernel has
-    a pure-Python path producing identical results.
+    ``auto``).  The selection only affects *speed*: every vectorized path
+    has a pure-Python twin producing identical results.
     """
     global _COMPUTE_BACKEND, _NUMPY_MODULE
     previous = _COMPUTE_BACKEND

@@ -12,7 +12,9 @@
   plus the group's candidate patterns;
 * ``PHk`` (pattern hash table): candidate pattern -> its support granules;
 * ``GHk`` (pattern granule hash table): per granule, the instance tuples
-  from which the pattern's relations are formed.
+  from which the pattern's relations are formed.  They exist only to
+  extend k-patterns to k + 1, so the batch miner's last level
+  (``k == max_pattern_length``) stores none.
 
 The Python dictionaries are the hash tables; the "hierarchical" linking of
 the paper (EH values are GH keys, EHk values feed PHk, PHk values feed GHk)
@@ -45,7 +47,7 @@ class HLH1:
     gh: dict[str, dict[int, list[EventInstance]]] = field(default_factory=dict)
     _candidates: list[str] | None = field(default=None, repr=False, compare=False)
     #: Lazily built columnar instance tables per (event, granule) -- the
-    #: step-2.2 kernels' view of GH.  Never pickled: worker processes
+    #: step-2.2 kernel's view of GH.  Never pickled: worker processes
     #: rebuild their own columns from the broadcast ``gh`` tables.
     _columns: dict[str, dict[int, InstanceColumn]] = field(
         default_factory=dict, repr=False, compare=False
@@ -124,16 +126,12 @@ class HLH1:
 
 
 #: One realizing assignment of a pattern, chronologically ordered -- what
-#: GHk stores per granule.  Under the sweep kernels (the default) this is
-#: the *compact encoding*: a tuple of column indices parallel to the
-#: pattern's ``events`` (``assignment[i]`` indexes the instance of
-#: ``pattern.events[i]`` in its ``(event, granule)`` column -- see
-#: :mod:`repro.core.instance_index`).  Under the reference kernels it is
-#: the classical tuple of :class:`EventInstance` objects.  A mining job
-#: runs entirely on one kernel, so the two encodings never mix within a
-#: structure; :meth:`HLHk.decoded_assignments_of` rematerializes
-#: instance tuples from the compact form.
-Assignment = tuple[EventInstance, ...] | tuple[int, ...]
+#: GHk stores per granule, in the *compact encoding*: a tuple of column
+#: indices parallel to the pattern's ``events`` (``assignment[i]`` indexes
+#: the instance of ``pattern.events[i]`` in its ``(event, granule)``
+#: column -- see :mod:`repro.core.instance_index`).
+#: :meth:`HLHk.decoded_assignments_of` rematerializes instance tuples.
+Assignment = tuple[int, ...]
 
 
 @dataclass
@@ -178,11 +176,16 @@ class HLHk:
         self,
         pattern: TemporalPattern,
         support: SupportLike,
-        assignments: dict[int, list[Assignment]],
+        assignments: dict[int, list[Assignment]] | None,
     ) -> None:
-        """Insert a candidate k-event pattern into PHk/GHk and its group."""
+        """Insert a candidate k-event pattern into PHk/GHk and its group.
+
+        ``assignments`` is ``None`` at the last level, which keeps no
+        GHk entry.
+        """
         self.phk[pattern] = support
-        self.ghk[pattern] = assignments
+        if assignments is not None:
+            self.ghk[pattern] = assignments
         self._patterns = None
         entry = self.ehk.get(pattern.event_group)
         if entry is not None:
@@ -215,9 +218,8 @@ class HLHk:
     ) -> list[tuple[EventInstance, ...]]:
         """Realizing *instance tuples* of ``pattern`` at ``granule``.
 
-        Decodes the compact column-index assignments of the sweep
-        kernels through ``hlh1``'s instance columns -- the reporting /
-        inspection view of GHk.
+        Decodes the compact column-index assignments through ``hlh1``'s
+        instance columns -- the reporting / inspection view of GHk.
         """
         events = pattern.events
         return [

@@ -1,6 +1,6 @@
 """Columnar instance index for the step-2.2 pattern-growth hot path.
 
-The step-2.2 kernels (pair enumeration and group extension, Sec. IV-D)
+The step-2.2 kernel (pair enumeration and group extension, Sec. IV-D)
 used to relate :class:`~repro.events.event.EventInstance` objects pair by
 pair: one ``relation_of_pair`` call, two ``sort_key()`` tuples, and a
 fresh ``TemporalPattern`` per accepted pair.  On dense granules that is
@@ -30,68 +30,19 @@ This module provides the columnar substitute:
   workers; :func:`decode_assignment` rematerializes the instance tuple
   wherever a human-facing view needs one.
 
-The sweep-join kernels themselves live in :mod:`repro.core.stpm`
+The sweep-join kernel itself lives in :mod:`repro.core.stpm`
 (:func:`~repro.core.stpm.collect_pair_patterns` /
 :func:`~repro.core.stpm.extend_group_patterns`) so the batch and
-streaming miners keep sharing one implementation; the pre-index
-reference kernels are preserved in :mod:`repro.core._kernel_reference`
-for parity tests and the EXT5 benchmark.
+streaming miners keep sharing one implementation.
 """
 
 from __future__ import annotations
 
-from array import array
-from itertools import repeat
 from typing import Iterable, Sequence
 
 from repro.core.pattern import TemporalPattern, Triple
 from repro.events.event import EventInstance
-from repro.exceptions import ConfigError, MiningError
-
-#: Kernel names accepted wherever the step-2.2 implementation can be chosen.
-KERNEL_SWEEP = "sweep"
-KERNEL_REFERENCE = "reference"
-KERNEL_ARRAY = "array"
-STEP2_KERNELS = (KERNEL_ARRAY, KERNEL_SWEEP, KERNEL_REFERENCE)
-
-#: A realizing assignment encoded as column indices parallel to the
-#: pattern's chronological ``events`` tuple.
-EncodedAssignment = tuple[int, ...]
-
-
-def validate_kernel(kernel: str) -> str:
-    """Return ``kernel`` if known, raise :class:`ConfigError` otherwise."""
-    if kernel not in STEP2_KERNELS:
-        raise ConfigError(
-            f"unknown step-2.2 kernel {kernel!r}; choose from {STEP2_KERNELS}"
-        )
-    return kernel
-
-
-#: Process-wide default step-2.2 kernel (see :func:`set_default_kernel`).
-#: ``array`` is the vectorized v2 engine (numpy when available, the
-#: pure-Python machine-word path otherwise -- see
-#: :func:`repro.core.config.get_numpy`); ``sweep`` is the PR 5 tuple
-#: sweep; ``reference`` the pre-index object-at-a-time loops.
-_DEFAULT_KERNEL = KERNEL_ARRAY
-
-
-def default_kernel() -> str:
-    """The process-wide default step-2.2 kernel."""
-    return _DEFAULT_KERNEL
-
-
-def set_default_kernel(kernel: str) -> str:
-    """Set the process-wide default step-2.2 kernel; returns the old one.
-
-    The harness uses this to flip whole experiment runs between kernels
-    (CLI ``--kernel``) without threading a parameter through every
-    experiment function.  All kernels produce equivalent results.
-    """
-    global _DEFAULT_KERNEL
-    previous = _DEFAULT_KERNEL
-    _DEFAULT_KERNEL = validate_kernel(kernel)
-    return previous
+from repro.exceptions import MiningError
 
 
 def _sort_key(instance: EventInstance) -> tuple[int, int]:
@@ -106,21 +57,16 @@ def _sort_key(instance: EventInstance) -> tuple[int, int]:
 class InstanceColumn:
     """Start-sorted compact instance table of one ``(event, granule)``.
 
-    ``starts_arr`` and ``ends_arr`` are parallel ``array('q')`` buffers of
-    inclusive fine-granule bounds in chronological order -- contiguous
-    machine-word storage the vectorized array kernels wrap zero-copy
-    (``numpy.frombuffer``) and the pure-Python paths index directly.
-    ``instances`` holds the corresponding :class:`EventInstance` objects
-    for decoding.  The classic ``starts`` / ``ends`` *tuples* remain
-    available as lazy views for existing callers (the PR 5 sweep kernel,
-    tests, reporting) and are materialized at most once per column.
+    ``starts`` and ``ends`` are parallel tuples of inclusive fine-granule
+    bounds in chronological order; ``instances`` holds the corresponding
+    :class:`EventInstance` objects for decoding.
 
     Instances of one event inside one granule are disjoint runs, so both
     columns are strictly ascending -- the monotonicity the sweep-join
     two-pointer walks and the bulk-Follows boundary arithmetic rely on.
     """
 
-    __slots__ = ("starts_arr", "ends_arr", "instances", "_starts", "_ends")
+    __slots__ = ("starts", "ends", "instances")
 
     def __init__(
         self,
@@ -128,25 +74,9 @@ class InstanceColumn:
         ends: Iterable[int],
         instances: tuple[EventInstance, ...],
     ):
-        self.starts_arr = starts if isinstance(starts, array) else array("q", starts)
-        self.ends_arr = ends if isinstance(ends, array) else array("q", ends)
+        self.starts = tuple(starts)
+        self.ends = tuple(ends)
         self.instances = instances
-        self._starts: tuple[int, ...] | None = None
-        self._ends: tuple[int, ...] | None = None
-
-    @property
-    def starts(self) -> tuple[int, ...]:
-        """The start bounds as a tuple (lazy view over ``starts_arr``)."""
-        if self._starts is None:
-            self._starts = tuple(self.starts_arr)
-        return self._starts
-
-    @property
-    def ends(self) -> tuple[int, ...]:
-        """The end bounds as a tuple (lazy view over ``ends_arr``)."""
-        if self._ends is None:
-            self._ends = tuple(self.ends_arr)
-        return self._ends
 
     @classmethod
     def from_instances(cls, instances: Sequence[EventInstance]) -> "InstanceColumn":
@@ -157,7 +87,7 @@ class InstanceColumn:
         After sorting, the ends column must be non-decreasing -- i.e. no
         instance may *nest* inside another.  The run grouping of
         Def. 3.10 guarantees this (same-event instances in a granule are
-        disjoint), and the sweep kernels' bulk-Follows bounds are only
+        disjoint), and the sweep join's bulk-Follows bounds are only
         sound under it, so a hand-built structure that violates it is
         rejected loudly -- naming the offending instance -- instead of
         silently misclassifying relations.
@@ -167,7 +97,7 @@ class InstanceColumn:
             _sort_key(a) > _sort_key(b) for a, b in zip(ordered, ordered[1:])
         ):
             ordered = tuple(sorted(ordered, key=_sort_key))
-        ends = array("q", (instance.end for instance in ordered))
+        ends = tuple(instance.end for instance in ordered)
         for index in range(1, len(ends)):
             if ends[index - 1] > ends[index]:
                 raise MiningError(
@@ -178,204 +108,20 @@ class InstanceColumn:
                     "disjoint runs (Def. 3.10)"
                 )
         return cls(
-            array("q", (instance.start for instance in ordered)),
+            tuple(instance.start for instance in ordered),
             ends,
             ordered,
         )
 
     def __len__(self) -> int:
-        return len(self.starts_arr)
+        return len(self.starts)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"InstanceColumn({list(zip(self.starts_arr, self.ends_arr))!r})"
+        return f"InstanceColumn({list(zip(self.starts, self.ends))!r})"
 
 
 #: The shared empty column (events missing from a granule).
 EMPTY_COLUMN = InstanceColumn((), (), ())
-
-
-# ---------------------------------------------------------------------------
-# Lazy assignment sequences (implicit bulk-Follows blocks)
-# ---------------------------------------------------------------------------
-
-#: Block kinds of :class:`LazyAssignments`.  ``PAIRS`` is a materialized
-#: run of encoded pairs; ``BLOCK_BA`` holds per-``i`` head boundaries
-#: (``(j, i)`` for every ``j < heads[i]`` -- the bulk "b wholly before a"
-#: Follows zone); ``BLOCK_AB`` holds per-``i`` tail boundaries against a
-#: column of length ``n`` (``(i, j)`` for every ``tails[i] <= j < n``).
-_BLOCK_PAIRS = 0
-_BLOCK_BA = 1
-_BLOCK_AB = 2
-
-
-class LazyAssignments:
-    """Encoded pair assignments with implicit bulk-Follows zones.
-
-    The step-2.2 pair kernels emit two kinds of accepted pairs: a *near
-    window* that had to be classified pair by pair, and *bulk zones*
-    where every pair is an unconditional Follows.  On dense granules the
-    bulk zones are almost the whole instance product, and eagerly
-    expanding them into ``(i, j)`` tuples is the dominant cost of pair
-    enumeration -- interpreter-built tuples nobody may ever read (the
-    ``GH_2`` rows of a non-candidate pattern, or any run capped at
-    ``max_pattern_length = 2``).
-
-    This sequence keeps the bulk zones *implicit*: a zone is stored as
-    its per-instance boundary list (``O(n)`` integers for ``O(n^2)``
-    pairs) and only expanded -- once, cached -- when somebody actually
-    iterates the assignments (group extension, decoding, reporting,
-    parity tests).  It quacks like the ``list[tuple[int, int]]`` the
-    sweep kernel produces: iteration, ``len``, indexing, equality, and
-    pickling all see the expanded pairs; pickling ships the compact
-    blocks when the sequence was never expanded, so pool workers hand
-    dense ``GH_2`` tables back to the parent without serializing the
-    product either.
-    """
-
-    __slots__ = ("_blocks", "_items", "_length")
-
-    def __init__(self) -> None:
-        self._blocks: list | None = []
-        self._items: list | None = None
-        self._length = 0
-
-    # -- kernel-side producers ------------------------------------------
-
-    def append(self, pair) -> None:
-        """Append one classified near-window pair."""
-        if self._items is not None:
-            self._items.append(pair)
-        else:
-            blocks = self._blocks
-            if blocks and blocks[-1][0] == _BLOCK_PAIRS:
-                blocks[-1][1].append(pair)
-            else:
-                blocks.append((_BLOCK_PAIRS, [pair]))
-        self._length += 1
-
-    def extend(self, pairs) -> None:
-        """Append a run of classified near-window pairs."""
-        if self._items is not None:
-            before = len(self._items)
-            self._items.extend(pairs)
-            self._length += len(self._items) - before
-            return
-        blocks = self._blocks
-        if blocks and blocks[-1][0] == _BLOCK_PAIRS:
-            run = blocks[-1][1]
-        else:
-            run = []
-            blocks.append((_BLOCK_PAIRS, run))
-        before = len(run)
-        run.extend(pairs)
-        self._length += len(run) - before
-
-    def add_bulk_before(self, heads, count: int) -> None:
-        """Record the bulk ``(j, i) for j < heads[i]`` Follows zone."""
-        if count <= 0:
-            return
-        if self._items is not None:
-            items = self._items
-            for i, head in enumerate(heads):
-                if head:
-                    items.extend(zip(range(head), repeat(i)))
-        else:
-            self._blocks.append((_BLOCK_BA, heads))
-        self._length += count
-
-    def add_bulk_after(self, tails, n: int, count: int) -> None:
-        """Record the bulk ``(i, j) for tails[i] <= j < n`` Follows zone."""
-        if count <= 0:
-            return
-        if self._items is not None:
-            items = self._items
-            for i, tail in enumerate(tails):
-                if tail < n:
-                    items.extend(zip(repeat(i), range(tail, n)))
-        else:
-            self._blocks.append((_BLOCK_AB, tails, n))
-        self._length += count
-
-    # -- consumer-side sequence protocol --------------------------------
-
-    def _materialize(self) -> list:
-        """Expand the blocks into the pair list, once."""
-        items: list = []
-        for block in self._blocks:
-            kind = block[0]
-            if kind == _BLOCK_PAIRS:
-                items.extend(block[1])
-            elif kind == _BLOCK_BA:
-                for i, head in enumerate(block[1]):
-                    if head:
-                        items.extend(zip(range(head), repeat(i)))
-            else:
-                n = block[2]
-                for i, tail in enumerate(block[1]):
-                    if tail < n:
-                        items.extend(zip(repeat(i), range(tail, n)))
-        self._items = items
-        self._blocks = None
-        return items
-
-    def __iter__(self):
-        items = self._items
-        if items is None:
-            items = self._materialize()
-        return iter(items)
-
-    def __len__(self) -> int:
-        return self._length
-
-    def __getitem__(self, index):
-        items = self._items
-        if items is None:
-            items = self._materialize()
-        return items[index]
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, LazyAssignments):
-            if self._length != other._length:
-                return False
-            other = list(other)
-        elif isinstance(other, (list, tuple)):
-            other = list(other)
-        else:
-            return NotImplemented
-        items = self._items
-        if items is None:
-            items = self._materialize()
-        return items == other
-
-    __hash__ = None  # mutable sequence, like list
-
-    def sort(self, **kwargs) -> None:
-        items = self._items
-        if items is None:
-            items = self._materialize()
-        items.sort(**kwargs)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        if self._items is None:
-            return f"LazyAssignments(<{self._length} pairs, unexpanded>)"
-        return f"LazyAssignments({self._items!r})"
-
-    def __reduce__(self):
-        # Ship compact blocks while unexpanded (pool workers return
-        # dense GH2 tables without serializing the instance product);
-        # an expanded sequence pickles its plain item list.
-        if self._items is None:
-            return (_rebuild_lazy_assignments, (self._blocks, None, self._length))
-        return (_rebuild_lazy_assignments, (None, self._items, self._length))
-
-
-def _rebuild_lazy_assignments(blocks, items, length) -> LazyAssignments:
-    """Pickle reconstructor of :class:`LazyAssignments`."""
-    rebuilt = LazyAssignments()
-    rebuilt._blocks = blocks
-    rebuilt._items = items
-    rebuilt._length = length
-    return rebuilt
 
 
 # ---------------------------------------------------------------------------

@@ -41,8 +41,17 @@ start/end columns, a two-pointer sweep join with bulk Follows tails for
 pair enumeration, index-keyed relation caches for the Iterative Check,
 flyweight-interned triples/patterns, and compact column-index assignment
 encodings in ``GH_k`` and in the pickled :class:`GroupOutcome` payloads.
-The pre-index loops survive as ``kernel="reference"``
-(:mod:`repro.core._kernel_reference`) for parity tests and benchmarks.
+
+Lean last level
+---------------
+The assignments kept in ``GH_k`` exist only so that k-patterns can be
+extended to k + 1.  At ``k == max_pattern_length`` no extension follows,
+so :func:`mine_extension_task` records only *that* each extended pattern
+occurs in a granule: no assignment tuples are built, the task's
+:class:`GroupOutcome` carries supports with an empty assignment map, and
+the last ``HLH_k`` stores no ``GH_k`` entries.  The streaming miner calls
+:func:`extend_group_patterns` directly and keeps assignments for its
+k + 1 catch-ups.
 
 The optional ``series_filter`` / ``pair_filter`` hooks implement A-STPM's
 search-space reduction (only mine events of correlated series and 2-event
@@ -56,26 +65,13 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
-from repro.core._kernel_reference import (
-    reference_collect_pair_patterns,
-    reference_extend_group_patterns,
-)
-from repro.core.array_kernel import (
-    array_collect_pair_patterns,
-    array_extend_group_patterns,
-)
 from repro.core.config import MiningParams
 from repro.core.executor import MiningExecutor, executor_scope, get_task_context
 from repro.core.hlh import HLH1, Assignment, HLHk
 from repro.core.instance_index import (
-    KERNEL_ARRAY,
-    KERNEL_REFERENCE,
-    KERNEL_SWEEP,
-    default_kernel,
     intern_pair_pattern,
     intern_pattern,
     intern_triple,
-    validate_kernel,
 )
 from repro.core.pattern import (
     TemporalPattern,
@@ -111,20 +107,6 @@ from repro.transform.sequence_db import TemporalSequenceDatabase
 _NO_RELATION = object()
 
 
-def kernel_functions(kernel: str):
-    """``(collect_pair_patterns, extend_group_patterns)`` of one kernel.
-
-    The registry behind every dispatch site -- group tasks, the
-    streaming miner, tests.  All kernels share one signature and produce
-    ``results_equivalent`` output; they differ only in data plane
-    (``array``: vectorized bulk boundaries + batched classification;
-    ``sweep``: the PR 5 tuple two-pointer; ``reference``: pre-index
-    object-at-a-time loops).
-    """
-    validate_kernel(kernel)
-    return _KERNEL_FUNCTIONS[kernel]
-
-
 def series_of(event: str) -> str:
     """The series name of an event key ``series:symbol``."""
     return event.rsplit(":", 1)[0]
@@ -148,11 +130,6 @@ class LevelContext:
     hlh1: HLH1
     previous: HLHk | None = None
     candidate_triples: frozenset[Triple] | None = None
-    #: Step-2.2 kernel the level's tasks run: the vectorized array
-    #: kernel (default), the PR 5 columnar sweep join, or the pre-index
-    #: reference loops.  Part of the context so the choice reaches pool
-    #: workers under any start method.
-    kernel: str = KERNEL_ARRAY
 
 
 @dataclass(frozen=True)
@@ -160,7 +137,9 @@ class GroupOutcome:
     """What one group task produced.
 
     ``support is None`` means the group failed the maxSeason candidate
-    gate and contributes nothing to the level.
+    gate and contributes nothing to the level.  At the last level
+    (``k == max_pattern_length``) ``pattern_assignments`` is empty: only
+    the supports are recorded.
     """
 
     group: tuple[str, ...]
@@ -383,14 +362,11 @@ def mine_pair_task(task: tuple[str, str]) -> GroupOutcome:
         return GroupOutcome((event_a, event_b), None, {}, {})
     pattern_support: dict[TemporalPattern, list[int]] = {}
     pattern_assignments: dict[TemporalPattern, dict[int, list[Assignment]]] = {}
-    collect = kernel_functions(context.kernel)[0]
-    collect(
+    collect_pair_patterns(
         hlh1, event_a, event_b, support, params.relation,
         pattern_support, pattern_assignments,
     )
     if track:
-        # LazyAssignments reports its length without materializing, so
-        # this total is O(#buckets), not O(#pairs).
         metrics.inc(
             "mine.pairs.recorded",
             sum(
@@ -408,6 +384,8 @@ def mine_extension_task(task: tuple[tuple[str, ...], str]) -> GroupOutcome:
     Pure function of ``task`` and the installed :class:`LevelContext`:
     intersects the parent group's support with the new event's, applies
     the candidate gate, and extends the parent's pattern assignments.
+    At the last level (``k == max_pattern_length``) the extension is
+    existence-only and the outcome carries no assignments.
     """
     context: LevelContext = get_task_context()
     group_prev, event = task
@@ -421,8 +399,7 @@ def mine_extension_task(task: tuple[tuple[str, ...], str]) -> GroupOutcome:
     if context.apriori and not is_candidate(len(support), context.params):
         metrics.inc("mine.groups.gate_rejected")
         return GroupOutcome(group, None, {}, {})
-    extend = kernel_functions(context.kernel)[1]
-    pattern_support, pattern_assignments = extend(
+    pattern_support, pattern_assignments = extend_group_patterns(
         context.hlh1,
         context.previous,
         entry_prev,
@@ -430,6 +407,7 @@ def mine_extension_task(task: tuple[tuple[str, ...], str]) -> GroupOutcome:
         context.candidate_triples,
         context.params,
         context.apriori,
+        keep_assignments=len(group) < context.params.max_pattern_length,
     )
     if track:
         metrics.inc(
@@ -538,6 +516,7 @@ def extend_group_patterns(
     check_candidates: bool,
     parent_patterns=None,
     granule_filter=None,
+    keep_assignments: bool = True,
 ) -> tuple[
     dict[TemporalPattern, list[int]],
     dict[TemporalPattern, dict[int, list[Assignment]]],
@@ -554,6 +533,10 @@ def extend_group_patterns(
     newly incorporated parent patterns / only the tail granules of an
     advance.  The batch miner leaves both ``None`` (all patterns, all
     granules).
+
+    ``keep_assignments=False`` is the existence-only mode of the last
+    level: each extended pattern only records the granules it occurs
+    in, and the returned assignment map is empty.
 
     Parent assignments arrive -- and extended assignments leave -- in the
     compact column-index encoding of :mod:`repro.core.instance_index`:
@@ -576,7 +559,9 @@ def extend_group_patterns(
         parent_patterns = entry_prev.patterns
     # Keyed by (events, triples) plain tuples in the hot loop; converted
     # to TemporalPattern objects once per unique pattern at the end.
-    accumulator: dict[tuple, dict[int, set[Assignment]]] = {}
+    # Without assignments a pattern's per-granule store only marks the
+    # granule (value ``None``).
+    accumulator: dict[tuple, dict[int, set[Assignment] | None]] = {}
     # Per-granule cache of verdict rows: each existing instance is swept
     # against the new-event column exactly once even though it appears
     # in many parent assignments (of every parent pattern).
@@ -654,11 +639,16 @@ def extend_group_patterns(
                         entry = shape_cache[shape_key] = [per_granule, -1, None]
                     if entry[1] != granule:
                         per_granule = entry[0]
+                        entry[1] = granule
+                        if not keep_assignments:
+                            per_granule[granule] = None
+                            continue
                         bucket = per_granule.get(granule)
                         if bucket is None:
                             bucket = per_granule[granule] = set()
-                        entry[1] = granule
                         entry[2] = bucket
+                    elif not keep_assignments:
+                        continue
                     entry[2].add(
                         assignment[:position]
                         + (new_index,)
@@ -669,22 +659,12 @@ def extend_group_patterns(
     for (events, triples), per_granule in accumulator.items():
         pattern = intern_pattern(events, triples)
         pattern_support[pattern] = sorted(per_granule)
-        pattern_assignments[pattern] = {
-            granule: sorted(assignments)
-            for granule, assignments in per_granule.items()
-        }
+        if keep_assignments:
+            pattern_assignments[pattern] = {
+                granule: sorted(assignments)
+                for granule, assignments in per_granule.items()
+            }
     return pattern_support, pattern_assignments
-
-
-#: Kernel name -> (pair kernel, extension kernel).  See :func:`kernel_functions`.
-_KERNEL_FUNCTIONS = {
-    KERNEL_ARRAY: (array_collect_pair_patterns, array_extend_group_patterns),
-    KERNEL_SWEEP: (collect_pair_patterns, extend_group_patterns),
-    KERNEL_REFERENCE: (
-        reference_collect_pair_patterns,
-        reference_extend_group_patterns,
-    ),
-}
 
 
 # ---------------------------------------------------------------------------
@@ -724,15 +704,6 @@ class ESTPM:
         return identical results.
     n_workers:
         Worker processes when ``executor="parallel"`` (default: all cores).
-    kernel:
-        Step-2.2 kernel implementation: ``"array"`` (the vectorized
-        array engine -- numpy when available, pure-Python machine-word
-        fallback otherwise), ``"sweep"`` (the columnar tuple sweep
-        join), or ``"reference"`` (the pre-index object-at-a-time
-        loops, kept for parity testing and benchmarking).  ``None``
-        resolves to the process-wide default
-        (:func:`~repro.core.instance_index.default_kernel`, normally
-        ``"array"``).  All kernels produce equivalent results.
     strict:
         ``True`` (default): a group task that failed all its retry
         attempts aborts the run with :class:`MiningError` -- current
@@ -759,7 +730,6 @@ class ESTPM:
     support_backend: str | None = None
     executor: MiningExecutor | str | None = None
     n_workers: int | None = None
-    kernel: str | None = None
     strict: bool = True
     checkpoint_path: str | None = None
 
@@ -775,14 +745,13 @@ class ESTPM:
         """
         started = time.perf_counter()
         backend = validate_backend(self.support_backend or default_backend())
-        kernel = validate_kernel(self.kernel or default_kernel())
         stats = MiningStats(n_granules=len(self.dseq))
         patterns: list[SeasonalPattern] = []
         failures: list[FailedTask] = []
         checkpoint = self._open_checkpoint()
 
         with span(
-            "estpm/mine", granules=len(self.dseq), kernel=kernel, backend=backend
+            "estpm/mine", granules=len(self.dseq), backend=backend
         ) as mine_span, executor_scope(self.executor, self.n_workers) as runner:
             with span("estpm/step2.1") as step21:
                 hlh1 = self._mine_single_events(backend, patterns, stats)
@@ -790,17 +759,15 @@ class ESTPM:
                     candidates=len(hlh1),
                     frequent=stats.n_frequent.get(1, 0),
                 )
-            levels: dict[int, HLHk] = {}
             if self.params.max_pattern_length >= 2:
                 with span("estpm/step2.2/pairs", k=2) as step22:
                     hlh2 = self._mine_two_event_patterns(
-                        hlh1, runner, backend, kernel, patterns, stats,
+                        hlh1, runner, backend, patterns, stats,
                         checkpoint, failures,
                     )
                     step22.set(
                         groups=len(hlh2.groups), patterns=len(hlh2.phk)
                     )
-                levels[2] = hlh2
                 candidate_triples = frozenset(p.triples[0] for p in hlh2.phk)
                 previous = hlh2
                 k = 3
@@ -808,14 +775,13 @@ class ESTPM:
                     with span("estpm/step2.2/extend", k=k) as extend_span:
                         current = self._mine_k_event_patterns(
                             hlh1, previous, candidate_triples, k, runner,
-                            backend, kernel, patterns, stats,
+                            backend, patterns, stats,
                             checkpoint, failures,
                         )
                         extend_span.set(
                             groups=len(current.groups),
                             patterns=len(current.phk),
                         )
-                    levels[k] = current
                     previous = current
                     k += 1
             mine_span.set(patterns=len(patterns), failures=len(failures))
@@ -836,9 +802,9 @@ class ESTPM:
         """The job-progress checkpoint, or ``None`` when not configured.
 
         The fingerprint binds the checkpoint to this exact job: the
-        mining parameters and the dataset shape (kernel and backend are
-        deliberately excluded -- all kernels/backends produce equivalent
-        outcomes, so a resume may switch them).
+        mining parameters and the dataset shape (the support backend is
+        deliberately excluded -- both backends produce equivalent
+        outcomes, so a resume may switch it).
         """
         if self.checkpoint_path is None:
             return None
@@ -987,7 +953,6 @@ class ESTPM:
         hlh1: HLH1,
         runner: MiningExecutor,
         backend: str,
-        kernel: str,
         patterns: list[SeasonalPattern],
         stats: MiningStats,
         checkpoint=None,
@@ -1002,8 +967,7 @@ class ESTPM:
             stats.bump(stats.n_groups_generated, 2)
             tasks.append((event_a, event_b))
         context = LevelContext(
-            params=self.params, apriori=self.pruning.apriori, hlh1=hlh1,
-            kernel=kernel,
+            params=self.params, apriori=self.pruning.apriori, hlh1=hlh1
         )
         outcomes = self._dispatch(
             runner, mine_pair_task, tasks, context, "k2", checkpoint,
@@ -1032,7 +996,6 @@ class ESTPM:
         k: int,
         runner: MiningExecutor,
         backend: str,
-        kernel: str,
         patterns: list[SeasonalPattern],
         stats: MiningStats,
         checkpoint=None,
@@ -1061,7 +1024,6 @@ class ESTPM:
             hlh1=hlh1,
             previous=previous,
             candidate_triples=candidate_triples,
-            kernel=kernel,
         )
         outcomes = self._dispatch(
             runner, mine_extension_task, tasks, context, f"k{k}", checkpoint,
@@ -1100,7 +1062,7 @@ class ESTPM:
             hlhk.add_pattern(
                 pattern,
                 make_support_set(support, backend),
-                pattern_assignments[pattern],
+                pattern_assignments.get(pattern),
             )
             stats.bump(stats.n_candidate_patterns, hlhk.k)
             # Gate with the early-exit chain counter (no view allocation

@@ -11,7 +11,7 @@ resumed skipping the finished work (``freqstpfts run/multigrain
 The on-disk format is a versioned JSON envelope::
 
     {
-      "format_version": 1,
+      "format_version": 2,
       "fingerprint": {"job": "estpm", "level": 2, ...},
       "outcomes": {"<task key>": "<base64 pickle>", ...}
     }
@@ -51,7 +51,9 @@ __all__ = ["JobCheckpoint", "FORMAT_VERSION"]
 
 logger = get_logger(__name__)
 
-FORMAT_VERSION = 1
+#: Version 2: last-level step-2.2 outcomes carry no assignments, and
+#: the pickled outcome classes of version 1 no longer exist.
+FORMAT_VERSION = 2
 
 #: Records buffered between automatic flushes.  Small enough that a
 #: crash loses little progress, large enough that checkpointing a

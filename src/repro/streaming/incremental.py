@@ -21,13 +21,14 @@ appends.  Each :meth:`IncrementalSTPM.advance` call
 Parity guarantee
 ----------------
 Candidacy gates are monotone under appends and the per-granule
-enumeration is shared verbatim with the batch miner (the step-2.2
-kernel registry of :func:`~repro.core.stpm.kernel_functions`; the
-``kernel`` knob picks ``array`` / ``sweep`` / ``reference`` exactly as
-in batch -- the maintained assignments use the same compact
-column-index encoding), so after any prefix the
-maintained state matches what batch E-STPM (full pruning, the default)
-builds on that prefix.  :meth:`IncrementalSTPM.result` therefore returns
+enumeration is shared verbatim with the batch miner
+(:func:`~repro.core.stpm.collect_pair_patterns` /
+:func:`~repro.core.stpm.extend_group_patterns`; the maintained
+assignments use the same compact column-index encoding), so after any
+prefix the maintained state matches what batch E-STPM (full pruning, the
+default) builds on that prefix.  Unlike batch E-STPM, the streaming
+miner keeps assignments at every level, including ``max_pattern_length``:
+its k + 1 catch-ups extend them.  :meth:`IncrementalSTPM.result` therefore returns
 a :class:`~repro.core.results.MiningResult` equivalent to the batch
 result -- same frequent patterns, same supports, near sets, and seasons;
 only the emission order is canonicalized.  ``reanchor_every=N`` makes the
@@ -51,10 +52,9 @@ from repro.core.results import (
     results_equivalent,
 )
 from repro.core.seasonality import SeasonView, is_candidate
-from repro.core.instance_index import default_kernel, validate_kernel
 from repro.obs import counters as metrics
 from repro.obs.trace import span
-from repro.core.stpm import ESTPM, kernel_functions
+from repro.core.stpm import ESTPM, collect_pair_patterns, extend_group_patterns
 from repro.core.supportset import default_backend, validate_backend
 from repro.events.sequence import TemporalSequence
 from repro.exceptions import MiningError
@@ -138,10 +138,6 @@ class IncrementalSTPM:
         Physical support-set representation of the maintained state
         (``"bitset"`` / ``"list"``; ``None`` = process default).  Both
         backends produce identical results.
-    kernel:
-        Step-2.2 kernel driving the incremental instance enumeration
-        (``"array"`` / ``"sweep"`` / ``"reference"``; ``None`` = process
-        default).  All kernels produce identical results.
     reanchor_every:
         If set, every N-th advance re-mines the full prefix with batch
         E-STPM and raises :class:`MiningError` on any divergence -- the
@@ -156,12 +152,10 @@ class IncrementalSTPM:
     params: MiningParams
     support_backend: str | None = None
     reanchor_every: int | None = None
-    kernel: str | None = None
 
     def __post_init__(self) -> None:
         backend = validate_backend(self.support_backend or default_backend())
         self.support_backend = backend
-        self.kernel = validate_kernel(self.kernel or default_kernel())
         self.state = MinerState(params=self.params, backend=backend)
         self.n_advances = 0
 
@@ -172,7 +166,6 @@ class IncrementalSTPM:
         params: MiningParams,
         support_backend: str | None = None,
         reanchor_every: int | None = None,
-        kernel: str | None = None,
     ) -> "IncrementalSTPM":
         """A miner over a fresh, empty DSEQ with the given mapping ratio."""
         return cls(
@@ -180,7 +173,6 @@ class IncrementalSTPM:
             params,
             support_backend=support_backend,
             reanchor_every=reanchor_every,
-            kernel=kernel,
         )
 
     @property
@@ -356,8 +348,7 @@ class IncrementalSTPM:
         support_out: dict[TemporalPattern, list[int]] = {}
         assignments_out: dict[TemporalPattern, dict] = {}
         event_a, event_b = gs.group
-        collect = kernel_functions(self.kernel)[0]
-        collect(
+        collect_pair_patterns(
             self.state.hlh1, event_a, event_b, granules,
             self.params.relation, support_out, assignments_out,
         )
@@ -521,8 +512,7 @@ class IncrementalSTPM:
     ) -> None:
         """Run the shared extension loop and merge its outcomes."""
         state = self.state
-        extend = kernel_functions(self.kernel)[1]
-        support_out, assignments_out = extend(
+        support_out, assignments_out = extend_group_patterns(
             state.hlh1,
             state.mirror(k - 1),
             entry_prev,
@@ -721,7 +711,7 @@ class IncrementalSTPM:
         """
         batch = ESTPM(
             self.dseq, self.params,
-            support_backend=self.support_backend, kernel=self.kernel,
+            support_backend=self.support_backend,
         ).mine()
         streaming = self.result()
         if not results_equivalent(streaming, batch):

@@ -71,7 +71,7 @@ class PatternState:
     ``support`` / ``assignments`` grow in place, with ``bits`` as the
     equivalent bitmask (kept so the PHk mirror refresh is O(1) on the
     bitset backend instead of re-packing the whole support per advance).
-    ``assignments`` holds the kernels' compact column-index encoding
+    ``assignments`` holds the kernel's compact column-index encoding
     (see :mod:`repro.core.instance_index`) -- the shared inner loops
     produce and consume it, and the HLH mirrors store the same lists.
     The cached :class:`SeasonView` is valid only while

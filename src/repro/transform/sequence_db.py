@@ -24,15 +24,13 @@ Two registered builders produce the same DSEQ (see
 * ``scalar`` -- the original granule-by-granule
   :func:`granule_instances` loops, kept as the parity reference.
 
-The process-wide default is selected like the step-2.2 kernel
-(:func:`default_frontend` / :func:`set_default_frontend`, CLI
-``--frontend``).
+The process-wide default is selected with :func:`default_frontend` /
+:func:`set_default_frontend` (CLI ``--frontend``).
 """
 
 from __future__ import annotations
 
 import threading
-from array import array
 from dataclasses import dataclass, field
 from itertools import groupby
 from typing import Iterable, Sequence
@@ -53,7 +51,7 @@ from repro.obs.trace import span
 from repro.symbolic.database import SymbolicDatabase
 
 #: Front-end builder names accepted wherever the step-1 construction can
-#: be chosen (mirrors the step-2.2 kernel registry).
+#: be chosen.
 FRONTEND_COLUMNAR = "columnar"
 FRONTEND_SCALAR = "scalar"
 FRONTEND_KERNELS = (FRONTEND_COLUMNAR, FRONTEND_SCALAR)
@@ -290,9 +288,7 @@ class TemporalSequenceDatabase:
             while hi < n_runs and positions[hi] == granule:
                 hi += 1
             columns[granule] = InstanceColumn(
-                array("q", starts[lo:hi]),
-                array("q", ends[lo:hi]),
-                tuple(instances[lo:hi]),
+                starts[lo:hi], ends[lo:hi], tuple(instances[lo:hi])
             )
             lo = hi
         self._prebuilt_columns[event] = columns
@@ -307,8 +303,8 @@ class TemporalSequenceDatabase:
 
         Per event the returned list is chronologically ordered and its
         runs are disjoint (Def. 3.10 run grouping), which is the
-        invariant the columnar instance index's start-sorted tables and
-        the sweep-join kernels build on (see
+        invariant that the columnar instance index's start-sorted tables
+        and the sweep join build on (see
         :mod:`repro.core.instance_index`).
         """
         return self.sequence_at(position).instances_of(event)

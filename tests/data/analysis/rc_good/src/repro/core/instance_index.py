@@ -1,5 +1,5 @@
-"""Fixture: kernel-name constants (consistent tree)."""
+"""Fixture: the module the registry-conformance imports resolve against."""
 
-KERNEL_ARRAY = "array"
-KERNEL_SWEEP = "sweep"
-STEP2_KERNELS = (KERNEL_ARRAY, KERNEL_SWEEP)
+
+def intern_pattern(events, triples):
+    return (events, triples)

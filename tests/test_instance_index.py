@@ -1,18 +1,23 @@
-"""Columnar instance index + sweep-join kernels: units and kernel parity.
+"""Columnar instance index + sweep-join kernel: units and oracle parity.
 
-The headline guarantee of the columnar engine: a whole mining job run on
-the sweep kernels is ``results_equivalent`` to the same job on the
-pre-index reference kernels -- on every seed dataset, for both miners,
-under both executors.  Plus the unit surface: column construction and
-caching, flyweight interning, compact assignment decoding, and the
-``event_a == event_b`` self-pair paths.
+The headline guarantee of the columnar engine: a whole E-STPM job is
+``results_equivalent`` to the brute-force
+:class:`~repro.baselines.naive.NaiveSTPM` oracle on every seed dataset
+and the paper's running example, serially and on a process pool; A-STPM
+agrees with itself across executors and with E-STPM on every pattern it
+keeps.  Plus the unit surface: column construction and caching,
+flyweight interning, compact assignment decoding, the
+``event_a == event_b`` self-pair paths, and the lean last level.
 """
 
+import base64
+import json
 import pickle
 
 import pytest
 
 from repro import ESTPM, MiningParams, SymbolicDatabase, build_sequence_database
+from repro.baselines.naive import NaiveSTPM
 from repro.core.approximate import ASTPM
 from repro.core.executor import ParallelExecutor
 from repro.core.hlh import HLH1
@@ -23,14 +28,14 @@ from repro.core.instance_index import (
     intern_pair_pattern,
     intern_pattern,
     intern_triple,
-    validate_kernel,
 )
 from repro.core.pattern import pattern_from_instances
 from repro.core.results import results_equivalent
 from repro.datasets import load_dataset
+from repro.datasets.registry import DATASET_BUILDERS
 from repro.events.event import EventInstance
 from repro.events.relations import FOLLOWS
-from repro.exceptions import ConfigError, MiningError
+from repro.exceptions import MiningError
 from repro.streaming import IncrementalSTPM
 
 
@@ -155,15 +160,6 @@ class TestInterning:
         assert get_task_context() is None
         assert not instance_index._TRIPLE_CACHE
 
-    def test_validate_kernel(self):
-        assert validate_kernel("array") == "array"
-        assert validate_kernel("sweep") == "sweep"
-        assert validate_kernel("reference") == "reference"
-        with pytest.raises(ConfigError):
-            validate_kernel("vectorized")
-        with pytest.raises(ConfigError):
-            ESTPM(_dseq({"A": "0101"}, 2), _params(), kernel="nope").mine()
-
 
 class TestEncodedAssignments:
     def test_ghk_assignments_decode_to_realizing_instances(self):
@@ -205,7 +201,7 @@ class TestEncodedAssignments:
 
 
 class TestSelfPairPaths:
-    """The event_a == event_b paths of both kernels (pairs + extension)."""
+    """The event_a == event_b paths of the kernel (pairs + extension)."""
 
     ROWS = {
         # A:1 occurs twice per granule (ratio 6) -> self pairs everywhere.
@@ -217,7 +213,7 @@ class TestSelfPairPaths:
         dseq = _dseq(self.ROWS, 6)
         params = _params(max_pattern_length=3)
         sweep = ESTPM(dseq, params).mine()
-        reference = ESTPM(dseq, params, kernel="reference").mine()
+        reference = NaiveSTPM(dseq, params).mine()
         assert results_equivalent(sweep, reference)
         self_pairs = [
             sp for sp in sweep.patterns if sp.pattern.events == ("A:1", "A:1")
@@ -248,56 +244,128 @@ class TestSelfPairPaths:
                         assert len(set(decoded)) == len(decoded)
 
 
+def _seed_job(name):
+    dataset = load_dataset(name, "tiny")
+    params = dataset.params(
+        max_period_pct=0.4, min_density_pct=0.75, min_season=4
+    )
+    return dataset, dataset.dseq(), params
+
+
 class TestKernelParity:
-    """Array == sweep == reference on all seed datasets x miners x executors."""
+    """The step-2.2 kernel against the brute-force oracle.
+
+    E-STPM, serial and pooled, equals :class:`NaiveSTPM` on every seed
+    dataset and the paper example.  A-STPM runs the same kernel on a
+    screened search space, so it is checked for serial == pooled and for
+    agreement with E-STPM on every pattern it keeps.
+    """
 
     @pytest.fixture(scope="class")
     def pool(self):
         with ParallelExecutor(max_workers=2) as executor:
             yield executor
 
-    @pytest.mark.parametrize("name", ["RE", "SC", "INF", "HFM"])
-    def test_estpm_parity(self, pool, name):
-        dataset = load_dataset(name, "tiny")
-        params = dataset.params(
-            max_period_pct=0.4, min_density_pct=0.75, min_season=4
-        )
-        dseq = dataset.dseq()
-        baseline = ESTPM(dseq, params, kernel="reference").mine()
-        assert baseline.patterns, f"parity run on {name} mined nothing"
-        for kernel, executor in (
-            ("array", "serial"),
-            ("array", pool),
-            ("sweep", "serial"),
-            ("sweep", pool),
-            ("reference", pool),
-        ):
-            result = ESTPM(dseq, params, kernel=kernel, executor=executor).mine()
-            assert results_equivalent(result, baseline), (name, kernel, executor)
+    @pytest.fixture(scope="class")
+    def serial_estpm(self):
+        """Serial E-STPM result per seed dataset, shared by both tests."""
+        cache = {}
+
+        def mined(name):
+            if name not in cache:
+                _, dseq, params = _seed_job(name)
+                cache[name] = ESTPM(dseq, params, executor="serial").mine()
+            return cache[name]
+
+        return mined
 
     @pytest.mark.parametrize("name", ["RE", "SC", "INF", "HFM"])
-    def test_astpm_parity(self, pool, name):
-        dataset = load_dataset(name, "tiny")
+    def test_estpm_parity(self, pool, serial_estpm, name):
+        _, dseq, params = _seed_job(name)
+        oracle = NaiveSTPM(dseq, params).mine()
+        assert oracle.patterns, f"parity run on {name} mined nothing"
+        serial = serial_estpm(name)
+        assert results_equivalent(serial, oracle), (name, "serial")
+        pooled = ESTPM(dseq, params, executor=pool).mine()
+        assert results_equivalent(pooled, oracle), (name, "pool")
+
+    def test_estpm_parity_paper_example(self, pool, paper_dseq, paper_params):
+        oracle = NaiveSTPM(paper_dseq, paper_params).mine()
+        for executor in ("serial", pool):
+            result = ESTPM(paper_dseq, paper_params, executor=executor).mine()
+            assert results_equivalent(result, oracle), executor
+
+    @pytest.mark.parametrize("name", ["RE", "SC", "INF", "HFM"])
+    def test_astpm_parity(self, pool, serial_estpm, name):
+        dataset, dseq, params = _seed_job(name)
+        serial = ASTPM(
+            dataset.dsyb, dataset.ratio, params, dseq=dseq, executor="serial"
+        ).mine()
+        pooled = ASTPM(
+            dataset.dsyb, dataset.ratio, params, dseq=dseq, executor=pool
+        ).mine()
+        assert results_equivalent(serial, pooled), name
+        exact = serial_estpm(name).seasonal_map()
+        for pattern, seasons in serial.seasonal_map().items():
+            assert pattern in exact, (name, pattern)
+            assert exact[pattern] == seasons, (name, pattern)
+
+
+class TestLeanLastLevel:
+    """At k == max_pattern_length only supports are recorded."""
+
+    @pytest.mark.parametrize("max_length", [2, 3, 4])
+    def test_paper_example_matches_oracle(self, paper_dseq, paper_params, max_length):
+        params = paper_params.with_updates(max_pattern_length=max_length)
+        assert results_equivalent(
+            ESTPM(paper_dseq, params).mine(), NaiveSTPM(paper_dseq, params).mine()
+        )
+
+    @pytest.mark.parametrize("max_length", [2, 3, 4])
+    def test_seed_dataset_matches_oracle(self, max_length):
+        # A middle level (k = 3 under max_length 4) must still extend
+        # from the assignments it stored.
+        dataset = DATASET_BUILDERS["HFM"](n_sequences=44, n_series=4)
         params = dataset.params(
-            max_period_pct=0.4, min_density_pct=0.75, min_season=4
+            min_season=2, min_density_pct=0.6, max_pattern_length=max_length
         )
         dseq = dataset.dseq()
-        baseline = ASTPM(
-            dataset.dsyb, dataset.ratio, params, dseq=dseq, kernel="reference"
-        ).mine()
-        for kernel, executor in (
-            ("array", "serial"),
-            ("array", pool),
-            ("sweep", "serial"),
-            ("sweep", pool),
-            ("reference", pool),
-        ):
-            result = ASTPM(
-                dataset.dsyb,
-                dataset.ratio,
-                params,
-                dseq=dseq,
-                kernel=kernel,
-                executor=executor,
-            ).mine()
-            assert results_equivalent(result, baseline), (name, kernel, executor)
+        result = ESTPM(dseq, params).mine()
+        assert results_equivalent(result, NaiveSTPM(dseq, params).mine())
+        assert max(sp.size for sp in result.patterns) == max_length
+
+    def test_last_level_outcome_has_supports_only(
+        self, tmp_path, paper_dseq, paper_params
+    ):
+        """Extension outcomes keep assignments below the last level only.
+
+        The job checkpoint records every group outcome, so it shows what
+        each level's tasks returned."""
+
+        def outcomes(max_length):
+            path = tmp_path / f"max{max_length}.ckpt.json"
+            params = paper_params.with_updates(max_pattern_length=max_length)
+            ESTPM(paper_dseq, params, checkpoint_path=str(path)).mine()
+            blobs = json.loads(path.read_text())["outcomes"]
+            return {
+                key: pickle.loads(base64.b64decode(blob))
+                for key, blob in blobs.items()
+            }
+
+        lean, full = outcomes(3), outcomes(4)
+        k3 = [key for key in lean if key.startswith("k3:") and lean[key].pattern_support]
+        assert k3, "the paper example must grow 3-patterns"
+        for key in k3:
+            assert lean[key].pattern_assignments == {}
+            # Same supports as at the middle level of a longer job.
+            assert lean[key].pattern_support == full[key].pattern_support
+            assignments = full[key].pattern_assignments
+            assert set(assignments) == set(full[key].pattern_support)
+            for pattern, support in full[key].pattern_support.items():
+                assert sorted(assignments[pattern]) == support
+        # The pair level is not the last one and keeps its assignments.
+        assert any(
+            outcome.pattern_assignments
+            for key, outcome in lean.items()
+            if key.startswith("k2:")
+        )

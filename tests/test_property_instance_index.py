@@ -6,21 +6,29 @@ are generated constantly), the columnar sweep join must reproduce the
 naive ``product`` + ``relation_of_pair`` enumeration exactly: same
 patterns (relation + orientation), same supports, same deduplicated
 assignments.  A second property runs whole random mining jobs through
-both kernels and compares the results, covering the extension kernel's
-Iterative Check against the pre-index loops.
+E-STPM and the brute-force :class:`~repro.baselines.naive.NaiveSTPM`
+oracle and compares the results, covering the extension kernel's
+Iterative Check and the lean last level.
 """
+
+from itertools import combinations, product
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import ESTPM, MiningParams, SymbolicDatabase, build_sequence_database
-from repro.core._kernel_reference import reference_collect_pair_patterns
+from repro.baselines.naive import NaiveSTPM
 from repro.core.hlh import HLH1
 from repro.core.instance_index import decode_assignment
 from repro.core.results import results_equivalent
 from repro.core.stpm import collect_pair_patterns
 from repro.events.event import EventInstance
-from repro.events.relations import RelationConfig, relation_between, relation_of_bounds
+from repro.events.relations import (
+    RelationConfig,
+    relation_between,
+    relation_of_bounds,
+    relation_of_pair,
+)
 
 
 @st.composite
@@ -47,26 +55,54 @@ def _hlh1_with(columns: dict[str, dict[int, list[EventInstance]]]) -> HLH1:
     return hlh1
 
 
+def _naive_pairs(hlh1, event_a, event_b, granules, config):
+    """Every related instance pair by full product, keyed like the kernel:
+    ``(relation, earlier event, later event)`` -> supports / instance pairs."""
+    support: dict[tuple, list[int]] = {}
+    assignments: dict[tuple, dict[int, list]] = {}
+    for granule in granules:
+        instances_a = hlh1.instances_of(event_a, granule)
+        if event_a == event_b:
+            pairs = combinations(instances_a, 2)
+        else:
+            pairs = product(instances_a, hlh1.instances_of(event_b, granule))
+        for a, b in pairs:
+            located = relation_of_pair(a, b, config)
+            if located is None:
+                continue
+            rel, earlier, later = located
+            key = (rel, earlier.event, later.event)
+            granules_of = support.setdefault(key, [])
+            if not granules_of or granules_of[-1] != granule:
+                granules_of.append(granule)
+            assignments.setdefault(key, {}).setdefault(granule, []).append(
+                (earlier, later)
+            )
+    return support, assignments
+
+
 def _run_both(hlh1, event_a, event_b, granules, config):
     sweep_support, sweep_assignments = {}, {}
     collect_pair_patterns(
         hlh1, event_a, event_b, granules, config, sweep_support, sweep_assignments
     )
-    naive_support, naive_assignments = {}, {}
-    reference_collect_pair_patterns(
-        hlh1, event_a, event_b, granules, config, naive_support, naive_assignments
-    )
-    return (sweep_support, sweep_assignments), (naive_support, naive_assignments)
+    naive = _naive_pairs(hlh1, event_a, event_b, granules, config)
+    return (sweep_support, sweep_assignments), naive
 
 
-def _assert_kernels_agree(hlh1, event_a, event_b, granules, config):
+def _key(pattern):
+    (triple,) = pattern.triples
+    return tuple(triple)
+
+
+def _assert_sweep_matches_naive(hlh1, event_a, event_b, granules, config):
     (sweep_support, sweep_assignments), (naive_support, naive_assignments) = _run_both(
         hlh1, event_a, event_b, granules, config
     )
-    assert sweep_support == naive_support
-    assert set(sweep_assignments) == set(naive_assignments)
+    assert {_key(p): s for p, s in sweep_support.items()} == naive_support
+    assert {_key(p) for p in sweep_assignments} == set(naive_assignments)
     for pattern, by_granule in sweep_assignments.items():
-        naive_by_granule = naive_assignments[pattern]
+        naive_by_granule = naive_assignments[_key(pattern)]
         assert set(by_granule) == set(naive_by_granule)
         for granule, encoded_list in by_granule.items():
             decoded = [
@@ -90,14 +126,14 @@ def test_sweep_join_equals_naive_product(a1, b1, a2, b2, config):
     hlh1 = _hlh1_with(
         {"A:1": {1: a1, 2: a2}, "B:1": {1: b1, 2: b2}}
     )
-    _assert_kernels_agree(hlh1, "A:1", "B:1", [1, 2], config)
+    _assert_sweep_matches_naive(hlh1, "A:1", "B:1", [1, 2], config)
 
 
 @given(instance_runs("A:1"), instance_runs("A:1"), relation_configs)
 @settings(max_examples=150, deadline=None)
 def test_sweep_self_join_equals_naive_combinations(a1, a2, config):
     hlh1 = _hlh1_with({"A:1": {1: a1, 2: a2}})
-    _assert_kernels_agree(hlh1, "A:1", "A:1", [1, 2], config)
+    _assert_sweep_matches_naive(hlh1, "A:1", "A:1", [1, 2], config)
 
 
 @given(
@@ -112,7 +148,7 @@ def test_sweep_self_join_equals_naive_combinations(a1, a2, config):
 def test_relation_of_bounds_matches_relation_between(
     start_i, dur_i, start_j, dur_j, epsilon, min_overlap
 ):
-    """The scalar bounds classifier (inlined by the kernels) is exactly
+    """The scalar bounds classifier (inlined by the kernel) is exactly
     relation_between on the ordered pair -- boundary values included."""
     a = EventInstance("A:1", start_i, start_i + dur_i - 1)
     b = EventInstance("B:1", start_j, start_j + dur_j - 1)
@@ -150,9 +186,9 @@ def mining_inputs(draw):
 @given(mining_inputs())
 @settings(max_examples=40, deadline=None)
 def test_whole_jobs_agree_across_kernels(inputs):
-    """End-to-end kernel parity under random epsilon/min_overlap configs
+    """End-to-end oracle parity under random epsilon/min_overlap configs
     (exercises the extension kernel's verdict rows + Iterative Check)."""
     dseq, params = inputs
     sweep = ESTPM(dseq, params).mine()
-    reference = ESTPM(dseq, params, kernel="reference").mine()
+    reference = NaiveSTPM(dseq, params).mine()
     assert results_equivalent(sweep, reference)

@@ -447,6 +447,34 @@ class TestMiningChaos:
             == json.loads(result_to_json(baseline))["patterns"]
         )
 
+    @pytest.mark.parametrize("max_length", [3, 4])
+    def test_resume_across_the_last_level_equals_fresh_run(
+        self, tmp_path, paper_dseq, paper_params, counters, max_length
+    ):
+        # Only extension task keys nest a tuple, so the plan crashes one
+        # task of every level k >= 3, the last level included.  The
+        # resumed run replays the lean last-level outcomes (and, under
+        # max_length 4, the k = 3 outcomes it extends from) out of the
+        # checkpoint.
+        params = paper_params.with_updates(max_pattern_length=max_length)
+        fresh = ESTPM(paper_dseq, params).mine()
+        assert max(sp.size for sp in fresh.patterns) == max_length
+        ckpt = str(tmp_path / "estpm.ckpt.json")
+        install_fault_plan(_raise_plan(key="((", index=1))
+        crashing = ESTPM(
+            paper_dseq,
+            params,
+            executor=SerialExecutor(retry=RetryPolicy(max_attempts=1, backoff_base_s=0.0)),
+            checkpoint_path=ckpt,
+        )
+        with pytest.raises(MiningError):
+            crashing.mine()
+        install_fault_plan(None)
+        resumed = ESTPM(paper_dseq, params, checkpoint_path=ckpt).mine()
+        skipped = counters.snapshot()["counters"].get("resume.tasks_skipped", 0)
+        assert skipped >= 1
+        assert results_equivalent(resumed, fresh)
+
     def test_checkpoint_rejects_different_job(self, tmp_path, paper_dseq, paper_params):
         ckpt = str(tmp_path / "estpm.ckpt.json")
         ESTPM(paper_dseq, paper_params, checkpoint_path=ckpt).mine()
@@ -471,13 +499,13 @@ class TestMiningChaos:
 
 
 class TestMultigrainChaos:
-    def _miner(self, dsyb, **kwargs):
+    def _miner(self, dsyb, max_pattern_length=2, **kwargs):
         return HierarchicalMiner(
             dsyb,
             ratios=[3, 6],
             dist_interval=(12, 30),
             min_season=2,
-            max_pattern_length=2,
+            max_pattern_length=max_pattern_length,
             **kwargs,
         )
 
@@ -548,6 +576,33 @@ class TestMultigrainChaos:
         assert counters.snapshot()["counters"].get("resume.tasks_skipped", 0) >= 1
         assert len(resumed.levels) == len(baseline.levels)
         for mine, theirs in zip(resumed, baseline):
+            assert results_equivalent(mine.result, theirs.result)
+
+    def test_resume_across_the_last_level_equals_fresh_hierarchy(
+        self, tmp_path, paper_dsyb, counters
+    ):
+        # max_pattern_length 3: every level's miner ends on a lean k = 3.
+        fresh = self._miner(paper_dsyb, max_pattern_length=3).mine()
+        assert any(
+            sp.size == 3 for level in fresh for sp in level.result.patterns
+        )
+        ckpt = str(tmp_path / "multigrain-k3.ckpt.json")
+        install_fault_plan(_raise_plan(index=1))
+        crashing = self._miner(
+            paper_dsyb,
+            max_pattern_length=3,
+            executor=SerialExecutor(retry=RetryPolicy(max_attempts=1, backoff_base_s=0.0)),
+            checkpoint_path=ckpt,
+        )
+        with pytest.raises(MiningError):
+            crashing.mine()
+        install_fault_plan(None)
+        resumed = self._miner(
+            paper_dsyb, max_pattern_length=3, checkpoint_path=ckpt
+        ).mine()
+        assert counters.snapshot()["counters"].get("resume.tasks_skipped", 0) >= 1
+        assert len(resumed.levels) == len(fresh.levels)
+        for mine, theirs in zip(resumed, fresh):
             assert results_equivalent(mine.result, theirs.result)
 
 

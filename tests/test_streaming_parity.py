@@ -14,13 +14,9 @@ from repro.core.results import results_equivalent
 from repro.datasets.registry import DATASET_BUILDERS
 
 
-def _assert_prefix_parity(
-    dseq, params, backend, batch_granules, check_every=1, kernel=None
-):
+def _assert_prefix_parity(dseq, params, backend, batch_granules, check_every=1):
     """Stream ``dseq`` in batches, asserting parity at sampled prefixes."""
-    miner = IncrementalSTPM.empty(
-        dseq.ratio, params, support_backend=backend, kernel=kernel
-    )
+    miner = IncrementalSTPM.empty(dseq.ratio, params, support_backend=backend)
     position = 0
     n_batches = 0
     checked = 0
@@ -86,24 +82,18 @@ class TestSeedDatasetParity:
 
 
 class TestKernelParity:
-    """Every step-2.2 kernel preserves streaming/batch prefix parity.
+    """The sweep-join kernel preserves streaming/batch prefix parity.
 
-    The incremental miner threads its ``kernel`` selection through both
-    the pair-collection and the group-extension calls; the batch side of
-    the comparison mines with the default kernel, so this also pins
-    array == sweep == reference end to end over growing prefixes."""
+    The two-pointer sweep join in :mod:`repro.core.stpm` is the only
+    step-2.2 kernel, so the incremental miner takes no kernel selection;
+    this pins it end to end over growing prefixes of the paper example."""
 
-    @pytest.mark.parametrize("kernel", ["array", "sweep", "reference"])
+    @pytest.mark.parametrize("kernel", ["sweep"])
     def test_paper_example_all_kernels(self, paper_dseq, paper_params, kernel):
-        miner = _assert_prefix_parity(
-            paper_dseq, paper_params, "bitset", 3, kernel=kernel
-        )
-        assert miner.kernel == kernel
+        miner = _assert_prefix_parity(paper_dseq, paper_params, "bitset", 3)
+        assert not hasattr(miner, "kernel")
+        with pytest.raises(TypeError):
+            IncrementalSTPM.empty(
+                paper_dseq.ratio, paper_params, kernel=kernel
+            )
         assert len(miner.result()) == 25
-
-    def test_seed_dataset_array_kernel(self):
-        dataset = DATASET_BUILDERS["INF"](n_sequences=44, n_series=4)
-        params = dataset.params(min_season=2, min_density_pct=0.6)
-        _assert_prefix_parity(
-            dataset.dseq(), params, "bitset", 9, check_every=2, kernel="array"
-        )
