@@ -82,12 +82,6 @@ def main(argv: list[str] | None = None) -> int:
         "profile -- use serial to see the kernels)",
     )
     parser.add_argument(
-        "--support-backend",
-        default=None,
-        choices=(None, "bitset", "list"),
-        help="support-set representation (default: engine default)",
-    )
-    parser.add_argument(
         "--output",
         type=Path,
         default=None,
@@ -128,12 +122,7 @@ def main(argv: list[str] | None = None) -> int:
 
     profiler = cProfile.Profile()
     profiler.enable()
-    run_experiment(
-        args.artifact_id,
-        profile=args.profile,
-        executor=args.executor,
-        support_backend=args.support_backend,
-    )
+    run_experiment(args.artifact_id, profile=args.profile, executor=args.executor)
     profiler.disable()
 
     if args.trace is not None:

@@ -46,13 +46,7 @@ from repro.multigrain import (
     resolve_level_params,
     screen_level,
 )
-from repro.core.supportset import (
-    BitsetSupportSet,
-    ListSupportSet,
-    SupportSet,
-    make_support_set,
-    set_default_backend,
-)
+from repro.core.supportset import BitsetSupportSet, SupportSet, make_support_set
 from repro.core.query import PatternQuery, subpatterns_of, superpatterns_of
 from repro.core.validation import validate_result, validate_seasonal_pattern
 from repro.core.mi import (
@@ -104,7 +98,7 @@ from repro.resilience import (
 )
 from repro.transform import TemporalSequenceDatabase, build_sequence_database
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 __all__ = [
     # granularity
@@ -165,9 +159,7 @@ __all__ = [
     # support-set engine
     "SupportSet",
     "BitsetSupportSet",
-    "ListSupportSet",
     "make_support_set",
-    "set_default_backend",
     # resilience
     "RetryPolicy",
     "FailedTask",

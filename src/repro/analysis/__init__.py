@@ -8,8 +8,8 @@ runtime contracts into checked invariants:
   classes exclude per-process caches from their pickled state;
 * **TS** thread safety -- shared module state is locked or thread-local;
 * **OB** zero-overhead telemetry -- hot paths use the guarded helpers;
-* **RC** registry conformance -- the front-end registry and export
-  surfaces resolve.
+* **RC** export conformance -- ``__all__`` names and ``repro`` imports
+  resolve.
 
 Run it with ``python -m repro.analysis`` or ``freqstpfts lint``.
 Findings are filtered by ``# repro: ignore[RULE]`` comments and the

@@ -18,7 +18,6 @@ from repro.analysis.rules.picklability import (
 )
 from repro.analysis.rules.registry_conformance import (
     DunderAllResolves,
-    FrontendKernelRegistry,
     ImportTargetResolves,
 )
 from repro.analysis.rules.thread_safety import UnguardedSharedMutation
@@ -31,7 +30,6 @@ ALL_RULES: tuple[type[Rule], ...] = (
     RegistryValueNotModuleLevel,
     UnguardedSharedMutation,
     DirectObsAccess,
-    FrontendKernelRegistry,
     DunderAllResolves,
     ImportTargetResolves,
 )

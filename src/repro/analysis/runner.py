@@ -26,7 +26,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "Static contract analyzer for the freqstpfts tree: enforces the "
             "compute-twin (CT), executor-picklability (EP), thread-safety "
-            "(TS), zero-overhead-telemetry (OB), and registry-conformance "
+            "(TS), zero-overhead-telemetry (OB), and export-conformance "
             "(RC) invariants documented in DESIGN.md ('Static contracts')."
         ),
     )

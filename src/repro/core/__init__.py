@@ -9,8 +9,8 @@ Public entry points:
 * :class:`~repro.core.approximate.ASTPM` -- the MI-based approximate miner
   (Alg. 2).
 * :class:`~repro.core.results.MiningResult` -- patterns plus statistics.
-* :class:`~repro.core.supportset.SupportSet` -- the support-set algebra
-  (bitset / sorted-list representations).
+* :class:`~repro.core.supportset.SupportSet` -- the big-int bitset
+  support-set algebra.
 * :class:`~repro.core.executor.MiningExecutor` -- serial / process-pool /
   thread-pool execution backends for the per-group mining work, with
   reusable worker pools (see :func:`~repro.core.executor.executor_scope`).
@@ -32,13 +32,7 @@ from repro.core.prune import PruningConfig
 from repro.core.results import MiningResult, SeasonalPattern
 from repro.core.seasonality import SeasonView, compute_seasons, max_season
 from repro.core.stpm import ESTPM
-from repro.core.supportset import (
-    BitsetSupportSet,
-    ListSupportSet,
-    SupportSet,
-    make_support_set,
-    set_default_backend,
-)
+from repro.core.supportset import BitsetSupportSet, SupportSet, make_support_set
 
 __all__ = [
     "MiningParams",
@@ -54,9 +48,7 @@ __all__ = [
     "max_season",
     "SupportSet",
     "BitsetSupportSet",
-    "ListSupportSet",
     "make_support_set",
-    "set_default_backend",
     "MiningExecutor",
     "SerialExecutor",
     "ParallelExecutor",

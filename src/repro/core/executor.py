@@ -1005,9 +1005,8 @@ def default_executor() -> MiningExecutor | str:
 def set_default_executor(spec: MiningExecutor | str) -> MiningExecutor | str:
     """Set the process-wide default executor; returns the previous spec.
 
-    Like :func:`repro.core.supportset.set_default_backend`, this lets the
-    harness flip whole experiment runs between backends without threading
-    a parameter through every experiment function.  Installing an executor
+    This lets the harness flip whole experiment runs between backends
+    without threading a parameter through every experiment function.  Installing an executor
     *instance* shares its (persistent) pool across every job that resolves
     the default -- the harness's pool-reuse mode; the caller keeps
     ownership and closes it when the run ends.

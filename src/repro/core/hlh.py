@@ -20,7 +20,7 @@ The Python dictionaries are the hash tables; the "hierarchical" linking of
 the paper (EH values are GH keys, EHk values feed PHk, PHk values feed GHk)
 is realized by sharing the same key objects across levels.
 
-Supports are stored as whatever representation the miner hands in --
+Supports are stored as whatever the miner hands in --
 :class:`~repro.core.supportset.SupportSet` bitsets on the hot path, plain
 sorted lists in legacy callers; the structures never convert.  The
 ``candidates`` / ``groups`` / ``patterns`` views are cached lists that are

@@ -76,8 +76,8 @@ def _iter_near_sets(support, max_period: int) -> Iterator[list[int]]:
 def split_near_support_sets(support: SupportLike, max_period: int) -> list[list[int]]:
     """Maximal near support sets: split where the period exceeds maxPeriod.
 
-    ``support`` may be a plain sorted position list or any
-    :class:`~repro.core.supportset.SupportSet` representation.
+    ``support`` may be a plain sorted position list or a
+    :class:`~repro.core.supportset.SupportSet`.
     """
     return list(_iter_near_sets(as_positions(support), max_period))
 
@@ -159,9 +159,9 @@ def _chain_seasons(
 def compute_seasons(support: SupportLike, params: MiningParams) -> SeasonView:
     """Full seasonal decomposition of a support set under ``params``.
 
-    Accepts a plain sorted position list or either
-    :class:`~repro.core.supportset.SupportSet` representation -- this is
-    the point where a lazily-packed bitset support is materialized.
+    Accepts a plain sorted position list or a
+    :class:`~repro.core.supportset.SupportSet` -- this is the point where
+    a lazily-packed bitset support is materialized.
     """
     support = as_positions(support)
     near_sets = split_near_support_sets(support, params.max_period)

@@ -1,4 +1,4 @@
-"""Support-set engine: one algebra, two physical representations.
+"""Support-set engine: the big-int bitset algebra of the miners.
 
 A support set (paper Def. 3.12) is the increasing set of granule positions
 where an event, group, or pattern occurs.  The miners only ever need three
@@ -10,32 +10,18 @@ operations on it:
 * **ascending iteration** -- only when seasons are materialized or the
   group's granules are walked for instance enumeration.
 
-:class:`SupportSet` abstracts those behind one interface with two backends:
-
-* :class:`BitsetSupportSet` packs the positions into one Python big int
-  (bit ``p`` set <=> granule ``p`` is in the set), so intersection is a
-  single C-level ``&`` and cardinality a single ``int.bit_count()`` --
-  the hot-path representation;
-* :class:`ListSupportSet` keeps the classical sorted ``tuple[int]`` with a
-  two-pointer merge, retained behind the same interface as the parity /
-  fallback path.
-
-Both compare equal to plain position lists/tuples so existing callers and
-tests that treat support sets as sorted lists keep working unchanged.
+:class:`SupportSet` packs the positions into one Python big int (bit ``p``
+set <=> granule ``p`` is in the set), so intersection is a single C-level
+``&`` and cardinality a single ``int.bit_count()``.  It compares equal to
+plain position lists/tuples, so callers and tests that treat support sets
+as sorted lists keep working unchanged.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Iterator, Sequence, Union
 
-from repro.core.config import get_numpy
-from repro.core.support import intersect_sorted
 from repro.exceptions import ConfigError
-
-#: Backend names accepted everywhere a representation can be chosen.
-BACKEND_BITSET = "bitset"
-BACKEND_LIST = "list"
-SUPPORT_BACKENDS = (BACKEND_BITSET, BACKEND_LIST)
 
 #: Anything the algebra accepts where a support set is expected.
 SupportLike = Union["SupportSet", Sequence[int]]
@@ -50,15 +36,11 @@ _SMALL_BITS = 4096
 #: byte-aligned for any factor.
 _COARSEN_CHUNK = 512
 
-#: Minimum position-list length before :func:`coarsen_positions` switches
-#: to the vectorized stride-merge.
-_NUMPY_MIN_POSITIONS = 1024
-
 
 def bit_positions(bits: int) -> list[int]:
     """The set bit indices of a support bitmask, ascending.
 
-    The low-bit extraction primitive shared by :class:`BitsetSupportSet`
+    The low-bit extraction primitive shared by :class:`SupportSet`
     and the streaming miner's raw-bitmask state.  Small masks peel low
     bits off the int directly; larger ones are exported once with
     ``int.to_bytes`` and peeled word by word, so the total cost is linear
@@ -146,64 +128,43 @@ def coarsen_bits(bits: int, factor: int, n_granules: int | None = None) -> int:
     return folded
 
 
-def coarsen_positions(
-    positions: Iterable[int], factor: int, n_granules: int | None = None
-) -> list[int]:
-    """Stride-merge ascending 1-based positions onto a coarser scale.
-
-    The sorted-list counterpart of :func:`coarsen_bits`: fine position
-    ``p`` maps to coarse position ``(p - 1) // factor + 1``; duplicates
-    collapse (the input is ascending, so one comparison per position).
-    Long inputs stride-merge vectorized when numpy is enabled (see
-    :func:`repro.core.config.get_numpy`); the scalar loop is the always
-    available fallback and the semantics reference.
-    """
-    if factor < 1:
-        raise ConfigError(f"coarsening factor must be >= 1, got {factor}")
-    if not isinstance(positions, (list, tuple)):
-        positions = list(positions)
-    if len(positions) >= _NUMPY_MIN_POSITIONS:
-        np = get_numpy()
-        if np is not None:
-            coarse = (np.asarray(positions, dtype=np.int64) - 1) // factor + 1
-            keep = np.empty(len(coarse), dtype=bool)
-            keep[0] = True
-            np.not_equal(coarse[1:], coarse[:-1], out=keep[1:])
-            folded_arr = coarse[keep]
-            if n_granules is not None:
-                folded_arr = folded_arr[folded_arr <= n_granules]
-            return folded_arr.tolist()
-    folded: list[int] = []
-    for position in positions:
-        coarse = (position - 1) // factor + 1
-        if n_granules is not None and coarse > n_granules:
-            break
-        if not folded or folded[-1] != coarse:
-            folded.append(coarse)
-    return folded
-
-
 class SupportSet:
-    """Common interface of both support-set representations.
+    """Support set packed into one Python big int.
+
+    Bit ``p`` of ``bits`` is set iff granule position ``p`` belongs to the
+    set.  Positions are 1-based (bit 0 is never set by the miners, but the
+    representation does not care).  Intersection and cardinality never
+    materialize the positions; iteration does, once, and caches the tuple.
 
     Instances behave like immutable sorted sequences of granule positions:
     they are sized, iterable (ascending), indexable, and compare equal to
-    plain lists/tuples with the same positions.  Subclasses implement the
-    physical storage and the intersection.
+    plain lists/tuples with the same positions.
     """
 
-    __slots__ = ()
+    __slots__ = ("bits", "_cached")
 
-    #: Name of the physical representation ("bitset" / "list").
-    backend = "abstract"
+    def __init__(self, bits: int = 0):
+        if bits < 0:
+            raise ConfigError("support bitset cannot be negative")
+        self.bits = bits
+        self._cached: tuple[int, ...] | None = None
+
+    @classmethod
+    def from_positions(cls, positions: Iterable[int]) -> "SupportSet":
+        """Pack an iterable of non-negative positions into a bitset."""
+        return cls(_pack_bits(positions))
 
     def positions(self) -> tuple[int, ...]:
-        """The positions as an ascending tuple (materializing if needed)."""
-        raise NotImplementedError
+        """The positions as an ascending tuple (materialized once)."""
+        if self._cached is None:
+            self._cached = tuple(bit_positions(self.bits))
+        return self._cached
 
     def intersect(self, other: SupportLike) -> "SupportSet":
-        """The intersection, in this set's representation."""
-        raise NotImplementedError
+        """The intersection with a support set or a plain position sequence."""
+        if isinstance(other, SupportSet):
+            return SupportSet(self.bits & other.bits)
+        return SupportSet(self.bits & _pack_bits(other))
 
     def coarsen(self, factor: int, n_granules: int | None = None) -> "SupportSet":
         """The support set's image under a ``factor``-coarser sequence mapping.
@@ -216,14 +177,14 @@ class SupportSet:
         drops coarse positions beyond the mapped database's length (the
         trailing partial block of Def. 3.3).
         """
-        raise NotImplementedError
+        return SupportSet(coarsen_bits(self.bits, factor, n_granules))
 
     def __and__(self, other: SupportLike) -> "SupportSet":
         """``a & b`` -- operator alias of :meth:`intersect`."""
         return self.intersect(other)
 
     def __len__(self) -> int:
-        raise NotImplementedError
+        return self.bits.bit_count()
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.positions())
@@ -234,15 +195,15 @@ class SupportSet:
         return list(result) if isinstance(index, slice) else result
 
     def __contains__(self, position: int) -> bool:
-        return position in self.positions()
+        return position >= 0 and (self.bits >> position) & 1 == 1
 
     def __bool__(self) -> bool:
-        return len(self) > 0
+        return self.bits != 0
 
     def __eq__(self, other) -> bool:
         """Equal to any SupportSet / list / tuple with the same positions."""
         if isinstance(other, SupportSet):
-            return self.positions() == other.positions()
+            return self.bits == other.bits
         if isinstance(other, (list, tuple, range)):
             return list(self.positions()) == list(other)
         return NotImplemented
@@ -250,108 +211,16 @@ class SupportSet:
     def __hash__(self) -> int:
         return hash(self.positions())
 
+    def __reduce__(self):
+        return (SupportSet, (self.bits,))
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"{type(self).__name__}({list(self.positions())!r})"
+        return f"SupportSet({list(self.positions())!r})"
 
 
-class BitsetSupportSet(SupportSet):
-    """Support set packed into one Python big int.
-
-    Bit ``p`` of ``bits`` is set iff granule position ``p`` belongs to the
-    set.  Positions are 1-based (bit 0 is never set by the miners, but the
-    representation does not care).  Intersection and cardinality never
-    materialize the positions; iteration does, once, and caches the tuple.
-    """
-
-    __slots__ = ("bits", "_cached")
-
-    backend = BACKEND_BITSET
-
-    def __init__(self, bits: int = 0):
-        if bits < 0:
-            raise ConfigError("support bitset cannot be negative")
-        self.bits = bits
-        self._cached: tuple[int, ...] | None = None
-
-    @classmethod
-    def from_positions(cls, positions: Iterable[int]) -> "BitsetSupportSet":
-        """Pack an iterable of non-negative positions into a bitset."""
-        return cls(_pack_bits(positions))
-
-    def positions(self) -> tuple[int, ...]:
-        if self._cached is None:
-            self._cached = tuple(bit_positions(self.bits))
-        return self._cached
-
-    def intersect(self, other: SupportLike) -> "BitsetSupportSet":
-        if isinstance(other, BitsetSupportSet):
-            return BitsetSupportSet(self.bits & other.bits)
-        return BitsetSupportSet(self.bits & _as_bits(other))
-
-    def coarsen(self, factor: int, n_granules: int | None = None) -> "BitsetSupportSet":
-        return BitsetSupportSet(coarsen_bits(self.bits, factor, n_granules))
-
-    def __len__(self) -> int:
-        return self.bits.bit_count()
-
-    def __contains__(self, position: int) -> bool:
-        return position >= 0 and (self.bits >> position) & 1 == 1
-
-    def __bool__(self) -> bool:
-        return self.bits != 0
-
-    def __reduce__(self):
-        return (BitsetSupportSet, (self.bits,))
-
-
-class ListSupportSet(SupportSet):
-    """Support set stored as the classical ascending position tuple."""
-
-    __slots__ = ("_positions",)
-
-    backend = BACKEND_LIST
-
-    def __init__(self, positions: Iterable[int] = ()):
-        self._positions = tuple(positions)
-
-    @classmethod
-    def from_positions(cls, positions: Iterable[int]) -> "ListSupportSet":
-        """Wrap an iterable of positions, normalizing to ascending unique.
-
-        The miners always hand in ascending runs (the common case costs
-        one linear scan); arbitrary iterables are sorted and deduplicated
-        so both backends represent the same logical set.
-        """
-        ordered = tuple(positions)
-        if any(a >= b for a, b in zip(ordered, ordered[1:])):
-            ordered = tuple(sorted(set(ordered)))
-        return cls(ordered)
-
-    def positions(self) -> tuple[int, ...]:
-        return self._positions
-
-    def intersect(self, other: SupportLike) -> "ListSupportSet":
-        return ListSupportSet(
-            intersect_sorted(list(self._positions), list(as_positions(other)))
-        )
-
-    def coarsen(self, factor: int, n_granules: int | None = None) -> "ListSupportSet":
-        return ListSupportSet(coarsen_positions(self._positions, factor, n_granules))
-
-    def __len__(self) -> int:
-        return len(self._positions)
-
-    def __reduce__(self):
-        return (ListSupportSet, (self._positions,))
-
-
-_BACKEND_CLASSES = {
-    BACKEND_BITSET: BitsetSupportSet,
-    BACKEND_LIST: ListSupportSet,
-}
-
-#: Process-wide default representation (see :func:`set_default_backend`).
-_DEFAULT_BACKEND = BACKEND_BITSET
+#: The class's former name.  Job checkpoints written before the list
+#: representation was removed pickle their supports under it.
+BitsetSupportSet = SupportSet
 
 
 def _pack_bits(positions: Iterable[int]) -> int:
@@ -374,13 +243,6 @@ def _pack_bits(positions: Iterable[int]) -> int:
     return int.from_bytes(packed, "little")
 
 
-def _as_bits(support: SupportLike) -> int:
-    """The big-int bitmask of any support-like value."""
-    if isinstance(support, BitsetSupportSet):
-        return support.bits
-    return _pack_bits(as_positions(support))
-
-
 def as_positions(support: SupportLike) -> Sequence[int]:
     """A sorted position sequence view of any support-like value.
 
@@ -397,43 +259,6 @@ def as_support_list(support: SupportLike) -> list[int]:
     return list(as_positions(support))
 
 
-def validate_backend(backend: str) -> str:
-    """Return ``backend`` if known, raise :class:`ConfigError` otherwise."""
-    if backend not in _BACKEND_CLASSES:
-        raise ConfigError(
-            f"unknown support backend {backend!r}; choose from {SUPPORT_BACKENDS}"
-        )
-    return backend
-
-
-def make_support_set(positions: Iterable[int], backend: str | None = None) -> SupportSet:
-    """Build a support set in the requested (or default) representation."""
-    backend = validate_backend(backend or _DEFAULT_BACKEND)
-    return _BACKEND_CLASSES[backend].from_positions(positions)
-
-
-def coerce_support_set(support: SupportLike, backend: str | None = None) -> SupportSet:
-    """Return ``support`` unchanged when already in the right representation,
-    otherwise re-pack it into the requested (or default) backend."""
-    backend = validate_backend(backend or _DEFAULT_BACKEND)
-    if isinstance(support, SupportSet) and support.backend == backend:
-        return support
-    return make_support_set(as_positions(support), backend)
-
-
-def default_backend() -> str:
-    """The process-wide default support representation."""
-    return _DEFAULT_BACKEND
-
-
-def set_default_backend(backend: str) -> str:
-    """Set the process-wide default representation; returns the old one.
-
-    The harness uses this to flip whole experiment runs between the bitset
-    and the sorted-list engine without threading a parameter through every
-    experiment function.
-    """
-    global _DEFAULT_BACKEND
-    previous = _DEFAULT_BACKEND
-    _DEFAULT_BACKEND = validate_backend(backend)
-    return previous
+def make_support_set(positions: Iterable[int]) -> SupportSet:
+    """Build a support set from an iterable of non-negative positions."""
+    return SupportSet.from_positions(positions)

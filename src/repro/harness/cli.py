@@ -21,7 +21,7 @@ Subcommands
     (``--level`` selects one level of a multigrain archive).
 ``lint``
     Run the static contract analyzer (compute-twin, picklability,
-    thread-safety, zero-overhead telemetry, registry conformance) over
+    thread-safety, zero-overhead telemetry, export conformance) over
     the tree; same engine as ``python -m repro.analysis``, see
     DESIGN.md ("Static contracts") for the rule catalog, suppression
     comments, and the baseline workflow.
@@ -29,15 +29,12 @@ Subcommands
 Engine selection
 ----------------
 Every mining subcommand accepts ``--executor serial|parallel|threads``
-(with ``--workers N`` for the pool size), ``--support-backend
-bitset|list`` for the physical support-set representation, and
-``--frontend columnar|scalar`` for the step-1 DSEQ builder (``columnar``
-= one-pass vectorized run detection that also primes the step-2.1
-supports and instance columns, the default; ``scalar`` = the
-granule-by-granule parity reference).  ``--keep-pool`` keeps one persistent worker pool
-alive for the whole command, so multi-level and multi-experiment runs
-reuse the same workers instead of spawning a pool per mining level.
-All combinations return identical pattern sets.
+(with ``--workers N`` for the pool size).  ``--keep-pool`` keeps one
+persistent worker pool alive for the whole command, so multi-level and
+multi-experiment runs reuse the same workers instead of spawning a pool
+per mining level.  Every executor returns identical pattern sets.  The
+support-set representation (big-int bitsets) and the step-1 DSEQ
+builder (one columnar pass) are fixed.
 
 Resilience
 ----------
@@ -81,7 +78,6 @@ from repro.core.executor import (
 )
 from repro.core.query import PatternQuery
 from repro.core.stpm import ESTPM
-from repro.core.supportset import SUPPORT_BACKENDS
 from repro.datasets.registry import DATASET_BUILDERS, PROFILES, load_dataset
 from repro.events.relations import RELATIONS
 from repro.harness.experiments import EXPERIMENTS, run_experiment
@@ -104,7 +100,6 @@ from repro.obs import (
 )
 from repro.obs.logging import LEVELS, configure_logging, get_logger
 from repro.resilience import DEFAULT_RETRY_POLICY, RetryPolicy
-from repro.transform.sequence_db import FRONTEND_KERNELS
 
 logger = get_logger(__name__)
 
@@ -139,21 +134,6 @@ def _build_parser() -> argparse.ArgumentParser:
             help="keep one persistent worker pool alive for the whole "
             "command (reused across mining levels, hierarchy jobs, and "
             "experiments instead of spawning a pool per level)",
-        )
-        command_parser.add_argument(
-            "--support-backend",
-            default=None,
-            choices=sorted(SUPPORT_BACKENDS),
-            help="physical support-set representation",
-        )
-        command_parser.add_argument(
-            "--frontend",
-            default=None,
-            choices=sorted(FRONTEND_KERNELS),
-            help="step-1 DSEQ builder: columnar (one-pass vectorized run "
-            "detection that also primes step-2.1 supports and instance "
-            "columns, the default) or scalar (granule-by-granule parity "
-            "reference); both produce identical rows and pattern sets",
         )
         command_parser.add_argument(
             "--max-retries",
@@ -306,16 +286,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write a stream checkpoint JSON at the end",
     )
     stream_parser.add_argument("--limit", type=int, default=10, help="patterns to print")
-    stream_parser.add_argument(
-        "--support-backend", default=None, choices=sorted(SUPPORT_BACKENDS),
-        help="physical support-set representation",
-    )
-    stream_parser.add_argument(
-        "--frontend", default=None, choices=sorted(FRONTEND_KERNELS),
-        help="granule materialization front end: columnar (one region "
-        "pass per push) or scalar (granule-by-granule reference); both "
-        "append identical rows",
-    )
     add_telemetry_arguments(stream_parser)
 
     query_parser = sub.add_parser(
@@ -482,9 +452,7 @@ def _dispatch(args) -> int:
     if args.command == "run":
         spec = _executor_spec(args)
         try:
-            with engine_defaults(
-                spec, args.support_backend, args.frontend
-            ):
+            with engine_defaults(spec):
                 for artifact_id in args.ids:
                     print(run_experiment(artifact_id, profile=args.profile).render())
                     print()
@@ -497,8 +465,6 @@ def _dispatch(args) -> int:
             run_all(
                 profile=args.profile,
                 executor=spec,
-                support_backend=args.support_backend,
-                frontend=args.frontend,
                 measure_memory=not args.no_memory,
                 trace_path=args.trace,
             )
@@ -514,21 +480,17 @@ def _dispatch(args) -> int:
         )
         spec, n_workers = _engine_settings(args)
         engine = {
-            "support_backend": args.support_backend,
             "executor": spec,
             "n_workers": n_workers,
             "checkpoint_path": args.resume,
         }
         try:
-            # The front end acts at dseq-build time, so it is installed as
-            # the process default around the dataset.dseq() call.
-            with engine_defaults(frontend=args.frontend):
-                if args.approximate:
-                    result = ASTPM(
-                        dataset.dsyb, dataset.ratio, params, dseq=dataset.dseq(), **engine
-                    ).mine()
-                else:
-                    result = ESTPM(dataset.dseq(), params, **engine).mine()
+            if args.approximate:
+                result = ASTPM(
+                    dataset.dsyb, dataset.ratio, params, dseq=dataset.dseq(), **engine
+                ).mine()
+            else:
+                result = ESTPM(dataset.dseq(), params, **engine).mine()
         finally:
             _close_executor(spec)
         print(
@@ -569,14 +531,12 @@ def _run_multigrain(args) -> int:
         min_season=args.min_season,
         miner=MINER_APPROXIMATE if args.approximate else MINER_EXACT,
         strategy=args.strategy,
-        support_backend=args.support_backend,
         executor=spec,
         n_workers=n_workers,
         checkpoint_path=args.resume,
     )
     try:
-        with engine_defaults(frontend=args.frontend):
-            result = miner.mine()
+        result = miner.mine()
     finally:
         _close_executor(spec)
     print(
@@ -612,9 +572,7 @@ def _run_stream(args) -> int:
         params,
         batch_granules=args.batch_granules,
         initial_granules=args.initial_granules,
-        support_backend=args.support_backend,
         reanchor_every=args.reanchor_every,
-        frontend=args.frontend,
     ):
         total_seconds += delta.seconds
         print(f"  {delta.describe()}")

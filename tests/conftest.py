@@ -15,8 +15,11 @@ import os
 
 import pytest
 
-from repro import MiningParams, SymbolicDatabase, build_sequence_database
+from repro import ESTPM, MiningParams, SymbolicDatabase, build_sequence_database
+from repro.baselines.naive import NaiveSTPM
 from repro.datasets import load_dataset
+from repro.events.sequence import TemporalSequence
+from repro.transform.sequence_db import TemporalSequenceDatabase, granule_instances
 
 def pytest_sessionstart(session):
     """Honor REPRO_TEST_START_METHOD (CI's chaos job sets ``spawn``).
@@ -73,3 +76,39 @@ def tiny_re():
 def tiny_inf():
     """A tiny INF dataset for integration tests."""
     return load_dataset("INF", "tiny")
+
+
+@pytest.fixture(scope="session")
+def scalar_dseq():
+    """Build DSEQ granule by granule from :func:`granule_instances`.
+
+    The scalar oracle for the columnar front end: every row is assembled
+    from the per-granule run grouping of Def. 3.10, and nothing is primed,
+    so supports come from a scan of the rows.
+    """
+
+    def build(dsyb, ratio):
+        rows = []
+        for index in range(dsyb.n_instants // ratio):
+            offset = index * ratio
+            sequence = TemporalSequence(position=index + 1)
+            for series in dsyb:
+                block = tuple(series.symbols[offset : offset + ratio])
+                sequence.instances.extend(granule_instances(series.name, block, offset))
+            rows.append(sequence.finalize())
+        return TemporalSequenceDatabase(rows=rows, ratio=ratio, source_names=dsyb.names)
+
+    return build
+
+
+@pytest.fixture(scope="session")
+def batch_oracles():
+    """Batch miners ``(dseq, params) -> MiningResult`` that derived and
+    streamed results are checked against, keyed by how each computes
+    supports: ``bitset`` is E-STPM (big-int bitset intersections),
+    ``list`` the brute-force NaiveSTPM (one scan of every granule into
+    plain sorted position lists, no intersections)."""
+    return {
+        "bitset": lambda dseq, params: ESTPM(dseq, params).mine(),
+        "list": lambda dseq, params: NaiveSTPM(dseq, params).mine(),
+    }

@@ -1,4 +1,4 @@
-"""Fixture: the module the registry-conformance imports resolve against."""
+"""Fixture: the module the export-conformance imports resolve against."""
 
 
 def intern_pattern(events, triples):

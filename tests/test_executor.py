@@ -332,8 +332,6 @@ class TestMiningParity:
             dseq, params, executor=ThreadExecutor(max_workers=2, min_tasks=1)
         ).mine()
         assert _result_key(baseline) == _result_key(threaded)
-        list_backend = ESTPM(dseq, params, support_backend="list").mine()
-        assert _result_key(baseline) == _result_key(list_backend)
 
     def test_astpm_forwards_engine_knobs(self, tiny_inf):
         params = tiny_inf.params(
@@ -348,7 +346,6 @@ class TestMiningParity:
             params,
             dseq=tiny_inf.dseq(),
             executor="parallel",
-            support_backend="list",
         ).mine()
         assert [(sp.pattern, sp.seasons) for sp in serial.patterns] == [
             (sp.pattern, sp.seasons) for sp in parallel.patterns

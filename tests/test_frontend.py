@@ -1,10 +1,11 @@
-"""Front-end builder registry + columnar/scalar parity (Defs. 3.9-3.11).
+"""Columnar front end vs the scalar per-granule oracle (Defs. 3.9-3.11).
 
 The columnar front end (one pass per series, primed supports, lazy rows
-and instance columns) must be observably identical to the scalar
-granule-by-granule reference on every surface mining touches: rows,
-per-event supports, prebuilt columns, streaming materialization, and the
-final mining results -- under both compute backends.
+and instance columns) must be observably identical to rows assembled
+granule by granule from ``granule_instances`` (the ``scalar_dseq``
+fixture) on every surface mining touches: rows, per-event supports,
+prebuilt columns, streaming materialization, and the final mining
+results -- under both compute backends.
 """
 
 from __future__ import annotations
@@ -13,12 +14,13 @@ import pickle
 
 import pytest
 
-from repro import ESTPM, SymbolicDatabase, build_sequence_database
+from repro import ESTPM, SymbolicDatabase, build_sequence_database, replay_dataset
 from repro.core.config import get_numpy, set_compute_backend
 from repro.core.results import results_equivalent
 from repro.datasets import load_dataset
 from repro.events import EventInstance
-from repro.exceptions import SymbolizationError, TransformError
+from repro.exceptions import SymbolizationError
+from repro.harness.runner import engine_defaults
 from repro.obs import counters
 from repro.obs.trace import (
     disable_tracing,
@@ -29,13 +31,7 @@ from repro.obs.trace import (
 from repro.streaming import StreamingDatabase
 from repro.symbolic.alphabet import Alphabet
 from repro.symbolic.series import SymbolicSeries
-from repro.transform.sequence_db import (
-    FRONTEND_COLUMNAR,
-    FRONTEND_KERNELS,
-    FRONTEND_SCALAR,
-    default_frontend,
-    set_default_frontend,
-)
+from repro.transform import sequence_db
 
 
 @pytest.fixture(params=[None, "python"], ids=["numpy", "pure"])
@@ -54,39 +50,40 @@ def _support_positions(dseq):
 
 
 class TestFrontendRegistry:
+    """One builder: there is no front end left to select."""
+
     def test_known_frontends(self):
-        assert FRONTEND_COLUMNAR in FRONTEND_KERNELS
-        assert FRONTEND_SCALAR in FRONTEND_KERNELS
+        for name in (
+            "FRONTEND_COLUMNAR",
+            "FRONTEND_SCALAR",
+            "FRONTEND_KERNELS",
+            "default_frontend",
+            "set_default_frontend",
+            "validate_frontend",
+            "_build_scalar",
+        ):
+            assert not hasattr(sequence_db, name), name
+        with pytest.raises(TypeError):
+            engine_defaults(frontend="scalar")
 
-    def test_unknown_frontend_rejected(self, paper_dsyb):
-        with pytest.raises(TransformError, match="unknown front end"):
-            build_sequence_database(paper_dsyb, ratio=3, frontend="simd")
-
-    def test_default_round_trip(self):
-        previous = set_default_frontend(FRONTEND_SCALAR)
-        try:
-            assert default_frontend() == FRONTEND_SCALAR
-        finally:
-            set_default_frontend(previous)
-        assert default_frontend() == previous
-
-    def test_set_default_rejects_unknown(self):
-        with pytest.raises(TransformError):
-            set_default_frontend("granular")
-
-    def test_default_governs_builds(self, paper_dsyb):
-        previous = set_default_frontend(FRONTEND_SCALAR)
-        try:
-            dseq = build_sequence_database(paper_dsyb, ratio=3)
-            assert dseq.prebuilt_columns("C:1") is None
-        finally:
-            set_default_frontend(previous)
+    def test_unknown_frontend_rejected(self, paper_dsyb, paper_dseq, paper_params):
+        knob = {"frontend": "scalar"}
+        calls = [
+            lambda: build_sequence_database(paper_dsyb, ratio=3, **knob),
+            lambda: ESTPM(paper_dseq, paper_params, **knob),
+            lambda: StreamingDatabase(3, **knob),
+            lambda: StreamingDatabase.from_symbolic(paper_dsyb, 3, **knob),
+            lambda: replay_dataset(None, paper_params, **knob),
+        ]
+        for call in calls:
+            with pytest.raises(TypeError, match="frontend"):
+                call()
 
 
 class TestColumnarScalarParity:
-    def test_paper_rows_identical(self, paper_dsyb, compute_backend):
-        columnar = build_sequence_database(paper_dsyb, 3, frontend="columnar")
-        scalar = build_sequence_database(paper_dsyb, 3, frontend="scalar")
+    def test_paper_rows_identical(self, paper_dsyb, scalar_dseq, compute_backend):
+        columnar = build_sequence_database(paper_dsyb, 3)
+        scalar = scalar_dseq(paper_dsyb, 3)
         assert len(columnar) == len(scalar)
         for left, right in zip(columnar.rows, scalar.rows):
             assert left.position == right.position
@@ -95,43 +92,32 @@ class TestColumnarScalarParity:
             for event in left.events():
                 assert left.instances_of(event) == right.instances_of(event)
 
-    def test_paper_supports_identical(self, paper_dsyb, compute_backend):
-        columnar = build_sequence_database(paper_dsyb, 3, frontend="columnar")
-        scalar = build_sequence_database(paper_dsyb, 3, frontend="scalar")
+    def test_paper_supports_identical(self, paper_dsyb, scalar_dseq, compute_backend):
+        columnar = build_sequence_database(paper_dsyb, 3)
+        scalar = scalar_dseq(paper_dsyb, 3)
         assert _support_positions(columnar) == _support_positions(scalar)
 
     @pytest.mark.parametrize("name", ["RE", "INF"])
-    def test_seed_dataset_rows_identical(self, name, compute_backend):
+    def test_seed_dataset_rows_identical(self, name, scalar_dseq, compute_backend):
         dataset = load_dataset(name, "tiny")
-        columnar = build_sequence_database(
-            dataset.dsyb, dataset.ratio, frontend="columnar"
-        )
-        scalar = build_sequence_database(
-            dataset.dsyb, dataset.ratio, frontend="scalar"
-        )
+        columnar = build_sequence_database(dataset.dsyb, dataset.ratio)
+        scalar = scalar_dseq(dataset.dsyb, dataset.ratio)
         assert list(columnar.rows) == list(scalar.rows)
         assert _support_positions(columnar) == _support_positions(scalar)
 
-    def test_mining_parity(self, paper_dsyb, paper_params, compute_backend):
-        columnar = build_sequence_database(paper_dsyb, 3, frontend="columnar")
-        scalar = build_sequence_database(paper_dsyb, 3, frontend="scalar")
-        reference = ESTPM(scalar, paper_params).mine()
-        mined = ESTPM(columnar, paper_params).mine()
+    def test_mining_parity(self, paper_dsyb, paper_params, scalar_dseq, compute_backend):
+        reference = ESTPM(scalar_dseq(paper_dsyb, 3), paper_params).mine()
+        mined = ESTPM(build_sequence_database(paper_dsyb, 3), paper_params).mine()
         assert results_equivalent(mined, reference)
 
     @pytest.mark.parametrize("executor", ["serial", "threads"])
-    @pytest.mark.parametrize("support_backend", ["bitset", "list"])
+    @pytest.mark.parametrize("oracle", ["bitset", "list"])
     def test_mining_parity_across_engines(
-        self, paper_dsyb, paper_params, executor, support_backend
+        self, paper_dsyb, paper_params, scalar_dseq, batch_oracles, executor, oracle
     ):
-        columnar = build_sequence_database(paper_dsyb, 3, frontend="columnar")
-        scalar = build_sequence_database(paper_dsyb, 3, frontend="scalar")
-        reference = ESTPM(scalar, paper_params).mine()
+        reference = batch_oracles[oracle](scalar_dseq(paper_dsyb, 3), paper_params)
         mined = ESTPM(
-            columnar,
-            paper_params,
-            executor=executor,
-            support_backend=support_backend,
+            build_sequence_database(paper_dsyb, 3), paper_params, executor=executor
         ).mine()
         assert results_equivalent(mined, reference)
 
@@ -149,22 +135,18 @@ def long_dsyb(paper_dsyb):
 
 
 class TestPrebuiltColumns:
-    def test_scalar_build_has_none(self, long_dsyb):
-        scalar = build_sequence_database(long_dsyb, 3, frontend="scalar")
-        assert scalar.prebuilt_columns("C:1") is None
-
-    def test_short_streams_have_none(self, paper_dsyb):
+    def test_short_streams_have_none(self, paper_dsyb, scalar_dseq):
         # Below _NUMPY_MIN_SYMBOLS the columnar builder stays scalar and
         # primes supports only.
-        columnar = build_sequence_database(paper_dsyb, 3, frontend="columnar")
+        columnar = build_sequence_database(paper_dsyb, 3)
         assert columnar.prebuilt_columns("C:1") is None
-        scalar = build_sequence_database(paper_dsyb, 3, frontend="scalar")
+        scalar = scalar_dseq(paper_dsyb, 3)
         assert _support_positions(columnar) == _support_positions(scalar)
 
     @pytest.mark.skipif(get_numpy() is None, reason="needs the numpy backend")
-    def test_columns_match_row_walks(self, long_dsyb):
-        columnar = build_sequence_database(long_dsyb, 3, frontend="columnar")
-        scalar = build_sequence_database(long_dsyb, 3, frontend="scalar")
+    def test_columns_match_row_walks(self, long_dsyb, scalar_dseq):
+        columnar = build_sequence_database(long_dsyb, 3)
+        scalar = scalar_dseq(long_dsyb, 3)
         for event, support in scalar.event_support().items():
             columns = columnar.prebuilt_columns(event)
             assert columns is not None
@@ -177,7 +159,7 @@ class TestPrebuiltColumns:
 
     @pytest.mark.skipif(get_numpy() is None, reason="needs the numpy backend")
     def test_columns_cached_per_event(self, long_dsyb):
-        columnar = build_sequence_database(long_dsyb, 3, frontend="columnar")
+        columnar = build_sequence_database(long_dsyb, 3)
         first = columnar.prebuilt_columns("C:1")
         assert first is not None
         assert columnar.prebuilt_columns("C:1") is first
@@ -185,14 +167,14 @@ class TestPrebuiltColumns:
     def test_pure_columnar_has_none(self, long_dsyb):
         set_compute_backend("python")
         try:
-            columnar = build_sequence_database(long_dsyb, 3, frontend="columnar")
+            columnar = build_sequence_database(long_dsyb, 3)
             assert columnar.prebuilt_columns("C:1") is None
         finally:
             set_compute_backend(None)
 
     @pytest.mark.skipif(get_numpy() is None, reason="needs the numpy backend")
     def test_append_invalidates(self, long_dsyb):
-        columnar = build_sequence_database(long_dsyb, 3, frontend="columnar")
+        columnar = build_sequence_database(long_dsyb, 3)
         assert columnar.prebuilt_columns("C:1") is not None
         from repro.events.sequence import TemporalSequence
 
@@ -206,48 +188,48 @@ class TestLazyRows:
     """The columnar builders defer row materialization behind a thunk."""
 
     def test_len_before_materialization(self, paper_dsyb, compute_backend):
-        columnar = build_sequence_database(paper_dsyb, 3, frontend="columnar")
+        columnar = build_sequence_database(paper_dsyb, 3)
         assert len(columnar) == 14  # no row access yet
 
-    def test_supports_without_rows(self, paper_dsyb, compute_backend):
+    def test_supports_without_rows(self, paper_dsyb, scalar_dseq, compute_backend):
         # event_support must come from the primed positions, not a row
         # scan: compute it first, then check rows match the reference.
-        columnar = build_sequence_database(paper_dsyb, 3, frontend="columnar")
+        columnar = build_sequence_database(paper_dsyb, 3)
         supports = _support_positions(columnar)
-        scalar = build_sequence_database(paper_dsyb, 3, frontend="scalar")
+        scalar = scalar_dseq(paper_dsyb, 3)
         assert supports == _support_positions(scalar)
         assert list(columnar.rows) == list(scalar.rows)
 
     def test_rows_materialize_on_index(self, paper_dsyb, compute_backend):
-        columnar = build_sequence_database(paper_dsyb, 3, frontend="columnar")
+        columnar = build_sequence_database(paper_dsyb, 3)
         row = columnar.sequence_at(7)
         assert row.instances_of("C:1") == [EventInstance("C:1", 19, 21)]
 
     def test_append_after_lazy_build(self, paper_dsyb, compute_backend):
         from repro.events.sequence import TemporalSequence
 
-        columnar = build_sequence_database(paper_dsyb, 3, frontend="columnar")
+        columnar = build_sequence_database(paper_dsyb, 3)
         columnar.append_row(TemporalSequence(position=15).finalize())
         assert len(columnar) == 15
         assert columnar.sequence_at(7).instances_of("C:1") == [
             EventInstance("C:1", 19, 21)
         ]
 
-    def test_rows_equality_between_builds(self, paper_dsyb, compute_backend):
-        one = build_sequence_database(paper_dsyb, 3, frontend="columnar")
-        two = build_sequence_database(paper_dsyb, 3, frontend="scalar")
+    def test_rows_equality_between_builds(self, paper_dsyb, scalar_dseq, compute_backend):
+        one = build_sequence_database(paper_dsyb, 3)
+        two = build_sequence_database(paper_dsyb, 3)
         assert one.rows == two.rows
+        assert one.rows == scalar_dseq(paper_dsyb, 3).rows
 
-    def test_pickle_degrades_to_plain_rows(self, paper_dsyb, compute_backend):
-        columnar = build_sequence_database(paper_dsyb, 3, frontend="columnar")
+    def test_pickle_degrades_to_plain_rows(self, paper_dsyb, scalar_dseq, compute_backend):
+        columnar = build_sequence_database(paper_dsyb, 3)
         restored = pickle.loads(pickle.dumps(columnar.rows))
         assert isinstance(restored, list)
-        scalar = build_sequence_database(paper_dsyb, 3, frontend="scalar")
-        assert restored == list(scalar.rows)
+        assert restored == list(scalar_dseq(paper_dsyb, 3).rows)
 
-    def test_prefix_and_coarsen_still_work(self, paper_dsyb, compute_backend):
-        columnar = build_sequence_database(paper_dsyb, 3, frontend="columnar")
-        scalar = build_sequence_database(paper_dsyb, 3, frontend="scalar")
+    def test_prefix_and_coarsen_still_work(self, paper_dsyb, scalar_dseq, compute_backend):
+        columnar = build_sequence_database(paper_dsyb, 3)
+        scalar = scalar_dseq(paper_dsyb, 3)
         assert list(columnar.prefix(5).rows) == list(scalar.prefix(5).rows)
         assert list(columnar.coarsen(2).rows) == list(scalar.coarsen(2).rows)
 
@@ -286,31 +268,29 @@ class TestFromCodes:
 
 
 class TestStreamingFrontends:
+    """Streamed rows equal the batch build of the same symbol prefix."""
+
     def test_streamed_rows_match_batch(self, paper_dsyb, compute_backend):
-        batch = build_sequence_database(paper_dsyb, 3, frontend="scalar")
-        for frontend in FRONTEND_KERNELS:
-            streamed = StreamingDatabase.from_symbolic(
-                paper_dsyb, 3, frontend=frontend
-            )
-            assert list(streamed.dseq.rows) == list(batch.rows)
+        batch = build_sequence_database(paper_dsyb, 3)
+        streamed = StreamingDatabase.from_symbolic(paper_dsyb, 3)
+        assert list(streamed.dseq.rows) == list(batch.rows)
 
     def test_ragged_pushes_match(self, paper_dsyb, compute_backend):
-        reference = build_sequence_database(paper_dsyb, 3, frontend="scalar")
         streams = {s.name: s.symbols for s in paper_dsyb}
-        for frontend in FRONTEND_KERNELS:
-            database = StreamingDatabase(
-                3, {s.name: s.alphabet for s in paper_dsyb}, frontend=frontend
-            )
-            cut = 0
-            for step in (5, 1, 11, 8, 17):
-                database.append_symbols(
-                    {name: sym[cut : cut + step] for name, sym in streams.items()}
-                )
-                cut += step
+        database = StreamingDatabase(3, {s.name: s.alphabet for s in paper_dsyb})
+        cut = 0
+        for step in (5, 1, 11, 8, 17):
             database.append_symbols(
-                {name: sym[cut:] for name, sym in streams.items()}
+                {name: sym[cut : cut + step] for name, sym in streams.items()}
             )
-            assert list(database.dseq.rows) == list(reference.rows)
+            cut += step
+            prefix = SymbolicDatabase.from_rows(
+                {name: "".join(sym[:cut]) for name, sym in streams.items()}
+            )
+            assert list(database.dseq.rows) == list(build_sequence_database(prefix, 3).rows)
+        database.append_symbols({name: sym[cut:] for name, sym in streams.items()})
+        reference = build_sequence_database(paper_dsyb, 3)
+        assert list(database.dseq.rows) == list(reference.rows)
 
 
 class TestInstrumentation:
@@ -318,19 +298,19 @@ class TestInstrumentation:
         reset_trace()
         enable_tracing()
         try:
-            build_sequence_database(paper_dsyb, 3, frontend="columnar")
+            build_sequence_database(paper_dsyb, 3)
             roots = trace_tree()
         finally:
             disable_tracing()
             reset_trace()
         builds = [root for root in roots if root["name"] == "transform/build_dseq"]
-        assert builds and builds[0]["attrs"]["frontend"] == "columnar"
+        assert builds and builds[0]["attrs"] == {"ratio": 3, "granules": 14}
 
     def test_columnar_counters(self, paper_dsyb):
         counters.reset()
         counters.enable_metrics()
         try:
-            build_sequence_database(paper_dsyb, 3, frontend="columnar")
+            build_sequence_database(paper_dsyb, 3)
             recorded = counters.summary()["counters"]
         finally:
             counters.disable_metrics()

@@ -1,9 +1,10 @@
 """Property-based parity of the vectorized front end.
 
 Random symbol streams, raw series, and support sets must be handled
-identically by the columnar and scalar front ends under both compute
-backends: same DSEQ rows and supports, byte-identical symbolization,
-the same batched season counts, and equivalent step-2.1 results.
+identically by the columnar front end and the scalar per-granule oracle
+(rows assembled from ``granule_instances``) under both compute backends:
+same DSEQ rows and supports, byte-identical symbolization, the same
+batched season counts, and equivalent step-2.1 results.
 """
 
 from __future__ import annotations
@@ -89,23 +90,13 @@ def _rows_and_supports(dseq):
 
 @given(databases())
 @settings(max_examples=60, deadline=None)
-def test_columnar_matches_scalar_on_both_backends(db_and_ratio):
+def test_columnar_matches_scalar_on_both_backends(scalar_dseq, db_and_ratio):
     dsyb, ratio = db_and_ratio
-    reference = None
+    scalar = _rows_and_supports(scalar_dseq(dsyb, ratio))
 
     def check():
-        nonlocal reference
-        columnar = _rows_and_supports(
-            build_sequence_database(dsyb, ratio, frontend="columnar")
-        )
-        scalar = _rows_and_supports(
-            build_sequence_database(dsyb, ratio, frontend="scalar")
-        )
+        columnar = _rows_and_supports(build_sequence_database(dsyb, ratio))
         assert columnar == scalar
-        if reference is None:
-            reference = scalar
-        else:
-            assert scalar == reference  # backends agree with each other
 
     _each_backend(check)
 
@@ -178,7 +169,7 @@ def test_count_seasons_batch_matches_per_element(supports, max_period, min_densi
 
 @given(databases())
 @settings(max_examples=25, deadline=None)
-def test_step21_results_equivalent_across_frontends(db_and_ratio):
+def test_step21_results_equivalent_across_frontends(scalar_dseq, db_and_ratio):
     dsyb, ratio = db_and_ratio
     n_granules = dsyb.n_instants // ratio
     if n_granules < 2:
@@ -190,14 +181,10 @@ def test_step21_results_equivalent_across_frontends(db_and_ratio):
         min_season=2,
         max_pattern_length=1,
     )
-    results = []
+    reference = ESTPM(scalar_dseq(dsyb, ratio), params).mine()
 
     def check():
-        for frontend in ("columnar", "scalar"):
-            dseq = build_sequence_database(dsyb, ratio, frontend=frontend)
-            results.append(ESTPM(dseq, params).mine())
+        mined = ESTPM(build_sequence_database(dsyb, ratio), params).mine()
+        assert results_equivalent(mined, reference)
 
     _each_backend(check)
-    first = results[0]
-    for other in results[1:]:
-        assert results_equivalent(first, other)

@@ -13,6 +13,7 @@ property test.
 
 from __future__ import annotations
 
+import base64
 import json
 import os
 import pickle
@@ -24,6 +25,7 @@ from hypothesis import strategies as st
 from repro.core.executor import ParallelExecutor, SerialExecutor, ThreadExecutor
 from repro.core.results import results_equivalent
 from repro.core.stpm import ESTPM
+from repro.core.supportset import SupportSet
 from repro.exceptions import ConfigError, FaultInjected, MiningError
 from repro.io.atomic import write_text_atomic
 from repro.io.job_checkpoint import JobCheckpoint
@@ -474,6 +476,32 @@ class TestMiningChaos:
         skipped = counters.snapshot()["counters"].get("resume.tasks_skipped", 0)
         assert skipped >= 1
         assert results_equivalent(resumed, fresh)
+
+    def test_resume_from_checkpoint_with_former_support_class_name(
+        self, tmp_path, paper_dseq, paper_params, baseline
+    ):
+        # Checkpoints written before the list representation was removed
+        # pickle supports as BitsetSupportSet; resuming one still equals
+        # a fresh run.
+        ckpt = tmp_path / "estpm.ckpt.json"
+        install_fault_plan(_raise_plan(index=0))
+        SupportSet.__qualname__ = "BitsetSupportSet"
+        try:
+            crashing = ESTPM(
+                paper_dseq,
+                paper_params,
+                executor=SerialExecutor(retry=RetryPolicy(max_attempts=1, backoff_base_s=0.0)),
+                checkpoint_path=str(ckpt),
+            )
+            with pytest.raises(MiningError):
+                crashing.mine()
+        finally:
+            SupportSet.__qualname__ = "SupportSet"
+        install_fault_plan(None)
+        outcomes = json.loads(ckpt.read_text())["outcomes"].values()
+        assert any(b"BitsetSupportSet" in base64.b64decode(o) for o in outcomes)
+        resumed = ESTPM(paper_dseq, paper_params, checkpoint_path=str(ckpt)).mine()
+        assert results_equivalent(resumed, baseline)
 
     def test_checkpoint_rejects_different_job(self, tmp_path, paper_dseq, paper_params):
         ckpt = str(tmp_path / "estpm.ckpt.json")

@@ -373,6 +373,17 @@ class TestStreamCheckpoint:
         restored = load_stream_checkpoint(text)
         assert results_equivalent(restored.result(), service.result())
 
+    @pytest.mark.parametrize("legacy_backend", ["list", "bitset"])
+    def test_legacy_support_backend_key_ignored(self, legacy_backend):
+        # Earlier writers stored the support representation; the layout
+        # is otherwise unchanged, so such payloads still restore.
+        payload = json.loads(save_stream_checkpoint(self._seeded_service()))
+        assert "support_backend" not in payload
+        payload["support_backend"] = legacy_backend
+        restored = load_stream_checkpoint(json.dumps(payload))
+        assert results_equivalent(restored.result(), self._seeded_service().result())
+        restored.verify_parity()
+
     def test_unknown_version_rejected(self):
         with pytest.raises(ReproError) as excinfo:
             load_stream_checkpoint(json.dumps({"format_version": 99}))
