@@ -10,7 +10,7 @@ Run: ``python examples/energy_seasonality.py``
 
 from repro import ASTPM, ESTPM
 from repro.datasets import load_dataset
-from repro.metrics import accuracy_pct, time_call
+from repro.metrics import Timer, accuracy_pct
 
 
 def main() -> None:
@@ -25,14 +25,16 @@ def main() -> None:
         f"minSeason={params.min_season}"
     )
 
-    exact, exact_seconds = time_call(lambda: ESTPM(dataset.dseq(), params).mine())
-    print(f"\nE-STPM: {len(exact)} patterns in {exact_seconds:.2f}s")
+    with Timer() as exact_timer:
+        exact = ESTPM(dataset.dseq(), params).mine()
+    print(f"\nE-STPM: {len(exact)} patterns in {exact_timer.seconds:.2f}s")
 
     miner = ASTPM(dataset.dsyb, dataset.ratio, params, dseq=dataset.dseq())
     report = miner.screening()
-    approx, approx_seconds = time_call(miner.mine)
+    with Timer() as approx_timer:
+        approx = miner.mine()
     print(
-        f"A-STPM: {len(approx)} patterns in {approx_seconds:.2f}s "
+        f"A-STPM: {len(approx)} patterns in {approx_timer.seconds:.2f}s "
         f"(pruned series: {', '.join(report.pruned_series) or 'none'})"
     )
     print(f"A-STPM accuracy vs E-STPM: {accuracy_pct(exact, approx):.1f}%")

@@ -12,7 +12,7 @@ Run: ``python examples/traffic_incidents.py``
 from repro import ESTPM
 from repro.core.prune import ALL_VARIANTS
 from repro.datasets import load_dataset
-from repro.metrics import time_call
+from repro.metrics import Timer
 
 
 def main() -> None:
@@ -38,14 +38,13 @@ def main() -> None:
     print("\nPruning ablation (Fig. 15/16 shape):")
     reference = None
     for pruning in ALL_VARIANTS:
-        mined, elapsed = time_call(
-            lambda: ESTPM(dataset.dseq(), params, pruning).mine()
-        )
+        with Timer() as timer:
+            mined = ESTPM(dataset.dseq(), params, pruning).mine()
         keys = mined.pattern_keys()
         if reference is None:
             reference = keys
         assert keys == reference, "prunings are lossless"
-        print(f"  {pruning.label:8s} {elapsed:6.2f}s  ({len(mined)} patterns)")
+        print(f"  {pruning.label:8s} {timer.seconds:6.2f}s  ({len(mined)} patterns)")
 
 
 if __name__ == "__main__":

@@ -33,7 +33,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.instance_index import EMPTY_COLUMN, InstanceColumn, decode_assignment
+from repro.core.instance_index import (
+    EMPTY_COLUMN,
+    InstanceColumn,
+    PartnerIndex,
+    decode_assignment,
+)
 from repro.core.pattern import TemporalPattern
 from repro.core.supportset import SupportLike
 from repro.events.event import EventInstance
@@ -152,9 +157,12 @@ class HLHk:
     ghk: dict[TemporalPattern, dict[int, list[Assignment]]] = field(default_factory=dict)
     _groups: list[tuple[str, ...]] | None = field(default=None, repr=False, compare=False)
     _patterns: list[TemporalPattern] | None = field(default=None, repr=False, compare=False)
+    #: Lazily built partner index of a level-2 table (see
+    #: :meth:`partner_index`).  Never pickled, like ``HLH1._columns``.
+    _partners: PartnerIndex | None = field(default=None, repr=False, compare=False)
 
     def __getstate__(self):
-        """Pickle only the hash tables; cached list views are per-process."""
+        """Pickle only the hash tables; cached views are per-process."""
         return {"k": self.k, "ehk": self.ehk, "phk": self.phk, "ghk": self.ghk}
 
     def __setstate__(self, state) -> None:
@@ -164,6 +172,19 @@ class HLHk:
         self.ghk = state["ghk"]
         self._groups = None
         self._patterns = None
+        self._partners = None
+
+    def partner_index(self) -> PartnerIndex:
+        """The :class:`~repro.core.instance_index.PartnerIndex` over this
+        (level-2) table, built on first use in each process.
+
+        Valid while the table does not change -- true of the batch HLH2
+        once the pair step is done.  The streaming miner, whose level-2
+        mirror grows with every push, builds a fresh index per advance.
+        """
+        if self._partners is None:
+            self._partners = PartnerIndex(self)
+        return self._partners
 
     def add_group(self, group: tuple[str, ...], support: SupportLike) -> GroupEntry:
         """Insert a candidate k-event group (Alg. 1 line 12)."""

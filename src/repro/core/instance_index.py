@@ -30,10 +30,17 @@ This module provides the columnar substitute:
   workers; :func:`decode_assignment` rematerializes the instance tuple
   wherever a human-facing view needs one.
 
-The sweep-join kernel itself lives in :mod:`repro.core.stpm`
-(:func:`~repro.core.stpm.collect_pair_patterns` /
-:func:`~repro.core.stpm.extend_group_patterns`) so the batch and
-streaming miners keep sharing one implementation.
+* :class:`PartnerIndex` -- the level-2 relations regrouped for group
+  extension: per ``(existing event, new event, granule)``, which new
+  instances each existing instance relates to, and under which triple.
+  Read off the pair assignments HLH2 already holds, so the extension
+  kernel classifies no relation itself.
+
+The kernels themselves live in :mod:`repro.core.stpm`
+(:func:`~repro.core.stpm.collect_pair_patterns`, the sweep join of the
+pair step, and :func:`~repro.core.stpm.extend_group_patterns`, the
+partner-index join of the extension step) so the batch and streaming
+miners keep sharing one implementation.
 """
 
 from __future__ import annotations
@@ -122,6 +129,77 @@ class InstanceColumn:
 
 #: The shared empty column (events missing from a granule).
 EMPTY_COLUMN = InstanceColumn((), (), ())
+
+
+# ---------------------------------------------------------------------------
+# Partner index over the level-2 pair assignments
+# ---------------------------------------------------------------------------
+
+
+class PartnerIndex:
+    """Related new-event partners of existing instances, read off HLH2.
+
+    The Iterative Check of Sec. IV-D 4.2.2 admits extending an existing
+    instance ``x`` of event ``X`` with a new instance ``c`` of event ``C``
+    exactly when ``(x, c)`` realizes a candidate 2-event pattern of group
+    ``{X, C}`` -- and the pair step recorded every such pair in the
+    level-2 ``GH`` tables (``pairs``: the batch HLH2 or the streaming
+    level-2 mirror).  :meth:`rows` regroups them per
+    ``(X, C, granule)`` as ``{x: {c: (existing_first, triple)}}``, where
+    ``existing_first`` says whether ``x`` comes first chronologically and
+    ``triple`` is the oriented relation triple of the pair.
+
+    Rows are built lazily per ``(X, granule)`` and kept for one new event
+    at a time: a request for another new event drops them.  The batch
+    miner dispatches extension tasks grouped by new event, so memory
+    stays bounded by one event's partners rather than all of HLH2.  The
+    index is per-process state, never pickled (see
+    :meth:`~repro.core.hlh.HLHk.partner_index`).  The cached event and
+    its rows are swapped as one tuple, so concurrent callers can only
+    drop each other's rows, never mix two events' rows.
+    """
+
+    __slots__ = ("pairs", "_cache")
+
+    def __init__(self, pairs) -> None:
+        self.pairs = pairs
+        self._cache: tuple[str | None, dict] = (None, {})
+
+    def rows(
+        self, existing: str, new: str, granule: int
+    ) -> dict[int, dict[int, tuple[bool, Triple]]]:
+        """``{existing index: {new index: (existing_first, triple)}}`` of
+        ``existing`` against ``new`` at ``granule`` (read-only; empty
+        when no pair of the two events is a candidate there)."""
+        event, cache = self._cache
+        if event != new:
+            cache = {}
+            self._cache = (new, cache)
+        key = (existing, granule)
+        rows = cache.get(key)
+        if rows is None:
+            rows = cache[key] = self._build(existing, new, granule)
+        return rows
+
+    def _build(
+        self, existing: str, new: str, granule: int
+    ) -> dict[int, dict[int, tuple[bool, Triple]]]:
+        rows: dict[int, dict[int, tuple[bool, Triple]]] = {}
+        pairs = self.pairs
+        entry = pairs.ehk.get((existing, new) if existing <= new else (new, existing))
+        if entry is None:
+            return rows
+        for pattern in entry.patterns:
+            assignments = pairs.assignments_of(pattern, granule)
+            # With existing == new both slots match: instance i pairs
+            # with each later j as the first member and with each
+            # earlier one as the second.
+            for slot, existing_first in ((0, True), (1, False)):
+                if pattern.events[slot] == existing:
+                    info = (existing_first, pattern.triples[0])
+                    for pair in assignments:
+                        rows.setdefault(pair[slot], {})[pair[1 - slot]] = info
+        return rows
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ database ``DSEQ``:
   candidate k-event groups come from the Cartesian product
   ``F_{k-1} x FilteredF1`` with support-set intersection; patterns are
   grown by extending the (k-1)-pattern assignments stored in ``GH_{k-1}``
-  with instances of the new event, verifying each new relation triple
-  against the candidate 2-event patterns (the Iterative Check of
+  with instances of the new event, keeping only new relations that
+  realize a candidate 2-event pattern in ``HLH2`` (the Iterative Check of
   Sec. IV-D 4.2.2).
 
 Pruning is controlled by :class:`~repro.core.prune.PruningConfig`:
@@ -37,9 +37,10 @@ backends.
 The step-2.2 inner loops run on the columnar instance index
 (:mod:`repro.core.instance_index`): per ``(event, granule)`` start-sorted
 start/end columns, a two-pointer sweep join with bulk Follows tails for
-pair enumeration, index-keyed relation caches for the Iterative Check,
-flyweight-interned triples/patterns, and compact column-index assignment
-encodings in ``GH_k`` and in the pickled :class:`GroupOutcome` payloads.
+pair enumeration, a partner index over the pair assignments of ``HLH2``
+for extension (no relation is classified twice), flyweight-interned
+triples/patterns, and compact column-index assignment encodings in
+``GH_k`` and in the pickled :class:`GroupOutcome` payloads.
 
 Lean last level
 ---------------
@@ -60,7 +61,6 @@ groups of correlated series pairs); plain E-STPM leaves them ``None``.
 from __future__ import annotations
 
 import time
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import combinations_with_replacement
 
@@ -68,13 +68,12 @@ from repro.core.config import MiningParams
 from repro.core.executor import MiningExecutor, executor_scope, get_task_context
 from repro.core.hlh import HLH1, Assignment, HLHk
 from repro.core.instance_index import (
+    PartnerIndex,
     intern_pair_pattern,
     intern_pattern,
-    intern_triple,
 )
 from repro.core.pattern import (
     TemporalPattern,
-    Triple,
     single_event_pattern,
     splice_triples,
 )
@@ -94,11 +93,6 @@ from repro.obs.trace import span
 from repro.resilience.policy import FailedTask, task_key_of
 from repro.transform.sequence_db import TemporalSequenceDatabase
 
-#: Cache sentinel of the extension kernel's per-granule relation cache:
-#: "computed, and the pair has no relation" (``None`` means "not yet
-#: computed", so misses never collide with negative verdicts).
-_NO_RELATION = object()
-
 
 def series_of(event: str) -> str:
     """The series name of an event key ``series:symbol``."""
@@ -116,13 +110,16 @@ class LevelContext:
 
     Shipped once per worker process (pool initializer) rather than once
     per task; tasks themselves are tiny key tuples into these tables.
+    ``pairs`` is HLH2, whose partner index the extension tasks join
+    against; at k = 3 it is the same object as ``previous``, so the
+    broadcast pickles it once.
     """
 
     params: MiningParams
     apriori: bool
     hlh1: HLH1
     previous: HLHk | None = None
-    candidate_triples: frozenset[Triple] | None = None
+    pairs: HLHk | None = None
 
 
 @dataclass(frozen=True)
@@ -397,9 +394,7 @@ def mine_extension_task(task: tuple[tuple[str, ...], str]) -> GroupOutcome:
         context.previous,
         entry_prev,
         event,
-        context.candidate_triples,
-        context.params,
-        context.apriori,
+        context.pairs.partner_index(),
         keep_assignments=len(group) < context.params.max_pattern_length,
     )
     if track:
@@ -414,99 +409,12 @@ def mine_extension_task(task: tuple[tuple[str, ...], str]) -> GroupOutcome:
     return GroupOutcome(group, support, pattern_support, pattern_assignments)
 
 
-def _verdict_row(
-    hlh1: HLH1,
-    granule: int,
-    existing_event: str,
-    existing_index: int,
-    event: str,
-    new_column,
-    epsilon: int,
-    min_overlap: int,
-    allowed_triples,
-) -> list:
-    """Oriented relation verdicts of one existing instance against the
-    whole new-event column, as a list indexed by new-instance position.
-
-    Each entry is ``(existing_first, triple)`` or :data:`_NO_RELATION`
-    (no relation holds, the triple fails the Iterative Check when
-    ``allowed_triples`` is given, or the "pair" is the existing instance
-    itself).  The new column is start-sorted, so the row is mostly two
-    bulk Follows fills found by bisection; only the near window around
-    the existing instance's interval is classified element-wise.
-    """
-    new_starts = new_column.starts
-    new_ends = new_column.ends
-    n_new = len(new_starts)
-    existing_column = hlh1.column_of(existing_event, granule)
-    s_e = existing_column.starts[existing_index]
-    e_e = existing_column.ends[existing_index]
-    # New instances ending epsilon+1 before the existing start: pure
-    # new -> existing Follows (Contains cannot fire).
-    head = bisect_right(new_ends, s_e - epsilon - 1)
-    # New instances starting epsilon+1 after the existing end: pure
-    # existing -> new Follows.
-    tail = bisect_left(new_starts, e_e + epsilon + 1)
-    if tail < head:  # pragma: no cover - impossible on sorted columns
-        tail = head
-    before = (False, intern_triple(FOLLOWS, event, existing_event))
-    after = (True, intern_triple(FOLLOWS, existing_event, event))
-    if allowed_triples is not None:
-        if before[1] not in allowed_triples:
-            before = _NO_RELATION
-        if after[1] not in allowed_triples:
-            after = _NO_RELATION
-    row: list = [before] * head if head else []
-    for j in range(head, tail):
-        s_n = new_starts[j]
-        e_n = new_ends[j]
-        if s_e != s_n:
-            existing_first = s_e < s_n
-        elif e_e != e_n:
-            existing_first = e_e > e_n
-        else:
-            existing_first = existing_event <= event
-        if existing_first:
-            s_1, e_1, s_2, e_2 = s_e, e_e, s_n, e_n
-        else:
-            s_1, e_1, s_2, e_2 = s_n, e_n, s_e, e_e
-        if s_1 <= s_2 and e_2 <= e_1 + epsilon:
-            rel = CONTAINS
-        elif s_2 >= e_1 + 1 - epsilon:
-            rel = FOLLOWS
-        elif (
-            s_1 < s_2
-            and e_1 + epsilon < e_2
-            and e_1 + 1 - s_2 >= min_overlap - epsilon
-        ):
-            rel = OVERLAPS
-        else:
-            row.append(_NO_RELATION)
-            continue
-        if existing_first:
-            info = (True, intern_triple(rel, existing_event, event))
-        else:
-            info = (False, intern_triple(rel, event, existing_event))
-        if allowed_triples is not None and info[1] not in allowed_triples:
-            info = _NO_RELATION
-        row.append(info)
-    if tail < n_new:
-        row.extend([after] * (n_new - tail))
-    if existing_event == event and existing_index < n_new:
-        # The existing instance is itself a column entry of the new
-        # event: pairing it with itself never extends an assignment.
-        row[existing_index] = _NO_RELATION
-    return row
-
-
 def extend_group_patterns(
     hlh1: HLH1,
     previous: HLHk,
     entry_prev,
     event: str,
-    candidate_triples,
-    params: MiningParams,
-    check_candidates: bool,
+    partners: PartnerIndex,
     parent_patterns=None,
     granule_filter=None,
     keep_assignments: bool = True,
@@ -519,6 +427,11 @@ def extend_group_patterns(
     This is the Iterative Check of Sec. IV-D 4.2.2: each new relation
     triple between an existing event and the new event must already be
     a candidate 2-event pattern, otherwise the extension is discarded.
+    ``partners`` (the :class:`~repro.core.instance_index.PartnerIndex`
+    over HLH2) holds exactly the pairs that pass, with their oriented
+    triples, so the kernel classifies no relation itself: for each
+    parent assignment it joins the partner rows of its slots, and every
+    new instance present in all of them extends the assignment.
 
     ``parent_patterns`` restricts the extension to a subset of the parent
     group's candidate patterns and ``granule_filter`` to a subset of the
@@ -534,20 +447,9 @@ def extend_group_patterns(
     Parent assignments arrive -- and extended assignments leave -- in the
     compact column-index encoding of :mod:`repro.core.instance_index`:
     ``assignment[i]`` indexes the instance of ``pattern.events[i]`` in
-    its ``(event, granule)`` column.  For every distinct existing
-    instance the kernel precomputes one *verdict row* against the whole
-    new-event column (:func:`_verdict_row`: bulk Follows prefix/suffix
-    via bisection, inline classification for the near window, Iterative
-    Check folded in, triples flyweight-interned), cached per granule
-    under the index key ``(existing event, existing index)``.  The
-    innermost loop is then a list index per (assignment slot, new
-    instance); each distinct extended pattern becomes one interned
-    :class:`TemporalPattern` at the end.
+    its ``(event, granule)`` column.  Each distinct extended pattern
+    becomes one interned :class:`TemporalPattern` at the end.
     """
-    relation = params.relation
-    epsilon = relation.epsilon
-    min_overlap = relation.min_overlap
-    allowed_triples = candidate_triples if check_candidates else None
     if parent_patterns is None:
         parent_patterns = entry_prev.patterns
     # Keyed by (events, triples) plain tuples in the hot loop; converted
@@ -555,16 +457,11 @@ def extend_group_patterns(
     # Without assignments a pattern's per-granule store only marks the
     # granule (value ``None``).
     accumulator: dict[tuple, dict[int, set[Assignment] | None]] = {}
-    # Per-granule cache of verdict rows: each existing instance is swept
-    # against the new-event column exactly once even though it appears
-    # in many parent assignments (of every parent pattern).
-    row_cache: dict[int, dict[tuple[str, int], list]] = {}
     event_support = hlh1.support_of(event)
     for pattern_prev in parent_patterns:
         prev_events = pattern_prev.events
         prev_triples = pattern_prev.triples
         k = len(prev_events) + 1
-        n_slots = k - 1
         # Shape cache: an accepted extension's (events, triples) identity
         # depends only on (position, partner triples), not on which
         # assignment realized it -- so the tuple splices and the
@@ -574,79 +471,66 @@ def extend_group_patterns(
         common = previous.support_of(pattern_prev) & event_support
         if granule_filter is not None:
             common = common & granule_filter
+        assignments_by_granule = previous.ghk[pattern_prev]
         for granule in common:
-            new_column = hlh1.column_of(event, granule)
-            n_new = len(new_column.starts)
-            if n_new == 0:
+            slot_rows = [
+                partners.rows(existing, event, granule) for existing in prev_events
+            ]
+            if not all(slot_rows):
                 continue
-            cache = row_cache.get(granule)
-            if cache is None:
-                cache = row_cache[granule] = {}
-            for assignment in previous.assignments_of(pattern_prev, granule):
-                rows = []
-                for slot in range(n_slots):
-                    row_key = (prev_events[slot], assignment[slot])
-                    row = cache.get(row_key)
-                    if row is None:
-                        row = cache[row_key] = _verdict_row(
-                            hlh1,
-                            granule,
-                            row_key[0],
-                            row_key[1],
-                            event,
-                            new_column,
-                            epsilon,
-                            min_overlap,
-                            allowed_triples,
-                        )
-                    rows.append(row)
-                for new_index in range(n_new):
-                    position = 0
-                    partner: list[Triple] = []
-                    valid = True
-                    for slot in range(n_slots):
-                        info = rows[slot][new_index]
-                        if info is _NO_RELATION:
-                            valid = False
+            first_rows, *other_rows = slot_rows
+            for assignment in assignments_by_granule.get(granule, ()):
+                first = first_rows.get(assignment[0])
+                if first is None:
+                    continue
+                others = [
+                    rows.get(index) for rows, index in zip(other_rows, assignment[1:])
+                ]
+                if None in others:
+                    continue
+                for new_index, (position, triple) in first.items():
+                    partner = [triple]
+                    for row in others:
+                        info = row.get(new_index)
+                        if info is None:
                             break
-                        if info[0]:
-                            position += 1
+                        position += info[0]
                         partner.append(info[1])
-                    if not valid:
-                        continue
-                    shape_key = (position, *partner)
-                    entry = shape_cache.get(shape_key)
-                    if entry is None:
-                        events = (
-                            prev_events[:position]
-                            + (event,)
-                            + prev_events[position:]
-                        )
-                        triples = splice_triples(prev_triples, partner, position, k)
-                        # The same assignment can be reached through two
-                        # parent patterns when the new pattern embeds the
-                        # parent group's events in more than one way, so
-                        # the per-granule store is shared per identity
-                        # and deduplicates as a set.
-                        per_granule = accumulator.setdefault((events, triples), {})
-                        entry = shape_cache[shape_key] = [per_granule, -1, None]
-                    if entry[1] != granule:
-                        per_granule = entry[0]
-                        entry[1] = granule
-                        if not keep_assignments:
-                            per_granule[granule] = None
+                    else:
+                        shape_key = (position, *partner)
+                        entry = shape_cache.get(shape_key)
+                        if entry is None:
+                            events = (
+                                prev_events[:position]
+                                + (event,)
+                                + prev_events[position:]
+                            )
+                            triples = splice_triples(prev_triples, partner, position, k)
+                            # The same assignment can be reached through
+                            # two parent patterns when the new pattern
+                            # embeds the parent group's events in more
+                            # than one way, so the per-granule store is
+                            # shared per identity and deduplicates as a
+                            # set.
+                            per_granule = accumulator.setdefault((events, triples), {})
+                            entry = shape_cache[shape_key] = [per_granule, -1, None]
+                        if entry[1] != granule:
+                            per_granule = entry[0]
+                            entry[1] = granule
+                            if not keep_assignments:
+                                per_granule[granule] = None
+                                continue
+                            bucket = per_granule.get(granule)
+                            if bucket is None:
+                                bucket = per_granule[granule] = set()
+                            entry[2] = bucket
+                        elif not keep_assignments:
                             continue
-                        bucket = per_granule.get(granule)
-                        if bucket is None:
-                            bucket = per_granule[granule] = set()
-                        entry[2] = bucket
-                    elif not keep_assignments:
-                        continue
-                    entry[2].add(
-                        assignment[:position]
-                        + (new_index,)
-                        + assignment[position:]
-                    )
+                        entry[2].add(
+                            assignment[:position]
+                            + (new_index,)
+                            + assignment[position:]
+                        )
     pattern_support: dict[TemporalPattern, list[int]] = {}
     pattern_assignments: dict[TemporalPattern, dict[int, list[Assignment]]] = {}
     for (events, triples), per_granule in accumulator.items():
@@ -753,13 +637,12 @@ class ESTPM:
                     step22.set(
                         groups=len(hlh2.groups), patterns=len(hlh2.phk)
                     )
-                candidate_triples = frozenset(p.triples[0] for p in hlh2.phk)
                 previous = hlh2
                 k = 3
                 while k <= self.params.max_pattern_length and previous.phk:
                     with span("estpm/step2.2/extend", k=k) as extend_span:
                         current = self._mine_k_event_patterns(
-                            hlh1, previous, candidate_triples, k, runner,
+                            hlh1, previous, hlh2, k, runner,
                             patterns, stats,
                             checkpoint, failures,
                         )
@@ -974,7 +857,7 @@ class ESTPM:
         self,
         hlh1: HLH1,
         previous: HLHk,
-        candidate_triples: frozenset[Triple],
+        pairs: HLHk,
         k: int,
         runner: MiningExecutor,
         patterns: list[SeasonalPattern],
@@ -999,12 +882,16 @@ class ESTPM:
                 seen_groups.add(group)
                 stats.bump(stats.n_groups_generated, k)
                 tasks.append((group_prev, event))
+        # Event-major order (stable, so each group keeps the parent the
+        # dedupe above chose): the serial loop and every pool chunk see
+        # runs of one new event, which is all the partner index caches.
+        tasks.sort(key=lambda task: task[1])
         context = LevelContext(
             params=self.params,
             apriori=self.pruning.apriori,
             hlh1=hlh1,
             previous=previous,
-            candidate_triples=candidate_triples,
+            pairs=pairs,
         )
         outcomes = self._dispatch(
             runner, mine_extension_task, tasks, context, f"k{k}", checkpoint,

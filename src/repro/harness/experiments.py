@@ -32,7 +32,7 @@ from repro.harness.figures import Figure
 from repro.harness.tables import Table
 from repro.metrics.accuracy import accuracy_pct
 from repro.metrics.memory import measure_peak_memory
-from repro.metrics.timing import time_call
+from repro.metrics.timing import Timer
 
 #: Default sweeps, scaled to the bench profiles (paper values in comments).
 MIN_SEASONS = (4, 6, 8)  # paper: 4, 8, 12, 16, 20
@@ -409,8 +409,9 @@ def _comparison_figure(
         for value in xs:
             params = _params(dataset, **{vary: value})
             if measure == "Runtime":
-                _, elapsed = time_call(lambda: miner(dataset, params))
-                points.append(elapsed)
+                with Timer() as timer:
+                    miner(dataset, params)
+                points.append(timer.seconds)
             else:
                 _, peak = measure_peak_memory(lambda: miner(dataset, params))
                 points.append(peak / 1e6)
@@ -483,8 +484,9 @@ def _scalability_sequences(
         points: list[float] = []
         for dataset in datasets:
             params = _params(dataset)
-            _, elapsed = time_call(lambda: miner(dataset, params))
-            points.append(elapsed)
+            with Timer() as timer:
+                miner(dataset, params)
+            points.append(timer.seconds)
         figure.add_series(miner_name, points)
     return figure
 
@@ -531,8 +533,9 @@ def _scalability_series(
         points: list[float] = []
         for dataset in datasets:
             params = _params(dataset)
-            _, elapsed = time_call(lambda: miner(dataset, params))
-            points.append(elapsed)
+            with Timer() as timer:
+                miner(dataset, params)
+            points.append(timer.seconds)
         figure.add_series(miner_name, points)
     return figure
 
@@ -578,10 +581,9 @@ def _pruning_figure(
         points: list[float] = []
         for value in xs:
             params = _params(dataset, **{vary: value})
-            _, elapsed = time_call(
-                lambda: ESTPM(dataset.dseq(), params, pruning).mine()
-            )
-            points.append(elapsed)
+            with Timer() as timer:
+                ESTPM(dataset.dseq(), params, pruning).mine()
+            points.append(timer.seconds)
         figure.add_series(pruning.label, points)
     return figure
 
@@ -633,14 +635,12 @@ def ext1_event_level_astpm(
         for min_season in min_seasons:
             params = _params(dataset, min_season=min_season)
             exact = _mine_exact(dataset, params)
-            plain, plain_seconds = time_call(
-                lambda: ASTPM(dataset.dsyb, dataset.ratio, params, dseq=dseq).mine()
-            )
-            extended, extended_seconds = time_call(
-                lambda: ASTPM(
+            with Timer() as plain_timer:
+                plain = ASTPM(dataset.dsyb, dataset.ratio, params, dseq=dseq).mine()
+            with Timer() as extended_timer:
+                extended = ASTPM(
                     dataset.dsyb, dataset.ratio, params, dseq=dseq, event_level=True
                 ).mine()
-            )
             table.add_row(
                 name,
                 min_season,
@@ -648,8 +648,8 @@ def ext1_event_level_astpm(
                 len(extended),
                 round(accuracy_pct(exact, plain)),
                 round(accuracy_pct(exact, extended)),
-                round(plain_seconds, 2),
-                round(extended_seconds, 2),
+                round(plain_timer.seconds, 2),
+                round(extended_timer.seconds, 2),
                 extended.stats.n_events_pruned - plain.stats.n_events_pruned,
             )
     return table

@@ -8,11 +8,10 @@
 
 from repro.metrics.accuracy import accuracy_pct, pattern_set_overlap
 from repro.metrics.memory import close_frame, measure_peak_memory, open_frame
-from repro.metrics.timing import Timer, time_call
+from repro.metrics.timing import Timer
 
 __all__ = [
     "Timer",
-    "time_call",
     "measure_peak_memory",
     "open_frame",
     "close_frame",

@@ -1,18 +1,13 @@
-"""Wall-clock timing of callables and code blocks.
+"""Wall-clock timing of code blocks.
 
-:class:`Timer` is the primary API -- a context manager over
-``time.perf_counter_ns()`` whose integer arithmetic avoids the float
-rounding that ``perf_counter()`` deltas accumulate on long runs.
-:func:`time_call` is the legacy wrapper, kept for existing callers; it
-delegates to :class:`Timer` internally.
+:class:`Timer` is a context manager over ``time.perf_counter_ns()``
+whose integer arithmetic avoids the float rounding that
+``perf_counter()`` deltas accumulate on long runs.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Callable, TypeVar
-
-T = TypeVar("T")
 
 
 class Timer:
@@ -55,15 +50,3 @@ class Timer:
 
     def __exit__(self, exc_type: object, exc: object, tb: object) -> None:
         self.stop()
-
-
-def time_call(fn: Callable[[], T]) -> tuple[T, float]:
-    """Run ``fn`` and return ``(result, elapsed_seconds)``.
-
-    .. deprecated:: 1.7
-        Prefer :class:`Timer`; ``time_call`` remains for existing
-        callers and simply wraps it.
-    """
-    timer = Timer().start()
-    result = fn()
-    return result, timer.stop()

@@ -13,7 +13,10 @@ appends.  Each :meth:`IncrementalSTPM.advance` call
    the tail only, newly candidate parent patterns over their full common
    support, and rebuilds a group from scratch only when the Iterative
    Check's candidate-triple set grew on one of the group's event pairs
-   (or the parent group itself was rebuilt);
+   (or the parent group itself was rebuilt).  Extension joins against a
+   :class:`~repro.core.instance_index.PartnerIndex` built afresh from
+   the level-2 mirror each advance (the mirror is final once step 2
+   has run, and grows again on the next push);
 4. re-evaluates seasons only for the patterns whose support changed
    (season views are cached by support length) and reports the frequency
    transitions as a :class:`PatternDelta`.
@@ -44,6 +47,7 @@ from itertools import combinations_with_replacement
 from typing import Iterable
 
 from repro.core.config import MiningParams
+from repro.core.instance_index import PartnerIndex
 from repro.core.pattern import TemporalPattern, single_event_pattern
 from repro.core.results import (
     MiningResult,
@@ -213,8 +217,9 @@ class IncrementalSTPM:
         changed, newly_candidate = self._update_events(new_rows, touched_events)
         if self.params.max_pattern_length >= 2:
             self._update_pairs(changed, newly_candidate, touched_patterns)
+            partners = PartnerIndex(state.mirror(2))
             for k in range(3, self.params.max_pattern_length + 1):
-                self._update_extensions(k, changed, touched_patterns)
+                self._update_extensions(k, changed, touched_patterns, partners)
         state.n_granules = new_n
 
         delta = self._build_delta(
@@ -350,7 +355,11 @@ class IncrementalSTPM:
     # ------------------------------------------------------------------
 
     def _update_extensions(
-        self, k: int, changed: set[str], touched: dict[TemporalPattern, _Snapshot]
+        self,
+        k: int,
+        changed: set[str],
+        touched: dict[TemporalPattern, _Snapshot],
+        partners: PartnerIndex,
     ) -> None:
         """Advance every candidate k-event group (step 2.2, k >= 3)."""
         state = self.state
@@ -373,7 +382,9 @@ class IncrementalSTPM:
                     gs = level[group] = GroupState(group)
                 elif self._extension_group_is_settled(k, gs, changed):
                     continue
-                self._advance_extension_group(k, gs, group_prev, event, touched)
+                self._advance_extension_group(
+                    k, gs, group_prev, event, touched, partners
+                )
 
     def _extension_group_is_settled(
         self, k: int, gs: GroupState, changed: set[str]
@@ -408,6 +419,7 @@ class IncrementalSTPM:
         enum_parent: tuple[str, ...],
         enum_event: str,
         touched: dict[TemporalPattern, _Snapshot],
+        partners: PartnerIndex,
     ) -> None:
         """Bring one k-event group's pattern state up to the new horizon."""
         state = self.state
@@ -430,7 +442,7 @@ class IncrementalSTPM:
             gs.parent_group = enum_parent
             gs.extension_event = self._extension_event(gs.group, enum_parent)
             mirror.add_group(gs.group, SupportSet(bits))
-            self._rebuild_extension_group(k, gs, touched)
+            self._rebuild_extension_group(k, gs, touched, partners)
             return
         if bits_changed:
             mirror.ehk[gs.group].support = SupportSet(bits)
@@ -438,7 +450,7 @@ class IncrementalSTPM:
         if parent_gs.revision != gs.parent_revision or state.triples_affect_group(gs):
             # Old granules may now admit new patterns/assignments: the
             # incremental premise broke, redo the group batch-style.
-            self._rebuild_extension_group(k, gs, touched)
+            self._rebuild_extension_group(k, gs, touched, partners)
             return
         entry_prev = state.mirror(k - 1).ehk[gs.parent_group]
         fresh: list[TemporalPattern] = []
@@ -449,11 +461,11 @@ class IncrementalSTPM:
         if fresh:
             # Newly candidate parent patterns: their assignments cover
             # old granules too, so extend them over the full support.
-            self._extend_group(k, gs, entry_prev, fresh, None, touched)
+            self._extend_group(k, gs, entry_prev, fresh, None, touched, partners)
             gs.incorporated.update(fresh)
         if tail and previously:
             self._extend_group(
-                k, gs, entry_prev, previously, bit_positions(tail), touched
+                k, gs, entry_prev, previously, bit_positions(tail), touched, partners
             )
         gs.processed_upto = new_n
         gs.triples_revision = state.triples_revision
@@ -471,7 +483,11 @@ class IncrementalSTPM:
         raise MiningError(f"group {group} does not extend parent {parent}")
 
     def _rebuild_extension_group(
-        self, k: int, gs: GroupState, touched: dict[TemporalPattern, _Snapshot]
+        self,
+        k: int,
+        gs: GroupState,
+        touched: dict[TemporalPattern, _Snapshot],
+        partners: PartnerIndex,
     ) -> None:
         """Re-extend one group from scratch over its full support."""
         state = self.state
@@ -486,7 +502,9 @@ class IncrementalSTPM:
         gs.incorporated = set()
         parent_gs = state.level(k - 1)[gs.parent_group]
         entry_prev = state.mirror(k - 1).ehk[gs.parent_group]
-        self._extend_group(k, gs, entry_prev, list(entry_prev.patterns), None, touched)
+        self._extend_group(
+            k, gs, entry_prev, list(entry_prev.patterns), None, touched, partners
+        )
         gs.incorporated = set(entry_prev.patterns)
         gs.parent_revision = parent_gs.revision
         gs.triples_revision = state.triples_revision
@@ -500,6 +518,7 @@ class IncrementalSTPM:
         parent_patterns: list[TemporalPattern],
         granule_filter: list[int] | None,
         touched: dict[TemporalPattern, _Snapshot],
+        partners: PartnerIndex,
     ) -> None:
         """Run the shared extension loop and merge its outcomes."""
         state = self.state
@@ -508,9 +527,7 @@ class IncrementalSTPM:
             state.mirror(k - 1),
             entry_prev,
             gs.extension_event,
-            state.candidate_triples,
-            self.params,
-            True,
+            partners,
             parent_patterns=parent_patterns,
             granule_filter=granule_filter,
         )

@@ -6,7 +6,8 @@ module holds the mutable per-event / per-group / per-pattern records the
 incremental algorithm updates granule by granule, plus live
 :class:`~repro.core.hlh.HLH1` / :class:`~repro.core.hlh.HLHk` mirrors so
 the batch miner's inner loops (:func:`~repro.core.stpm.collect_pair_patterns`,
-:func:`~repro.core.stpm.extend_group_patterns`) run unchanged against the
+and :func:`~repro.core.stpm.extend_group_patterns` joining against a
+partner index read off the level-2 mirror) run unchanged against the
 streamed state.
 
 Why appends are cheap
@@ -18,7 +19,8 @@ Everything the miners gate on is *monotone* under granule appends:
 * the maxSeason candidate gate ``|SUP|/minDensity >= minSeason`` (Eq. (1))
   can only flip from failed to passed -- a candidate event, group, or
   pattern never loses candidacy;
-* the candidate-triple set consulted by the Iterative Check only grows;
+* the candidate 2-event patterns the Iterative Check admits (and their
+  assignments in the level-2 mirror) only grow;
 * season chains (Defs. 3.13-3.15) are built left-to-right, so appending
   granules never removes a season from the best chain.
 
@@ -130,7 +132,6 @@ class MinerState:
     levels: dict[int, dict[tuple[str, ...], GroupState]] = field(default_factory=dict)
     hlh1: HLH1 = field(default_factory=HLH1)
     hlhk: dict[int, HLHk] = field(default_factory=dict)
-    candidate_triples: set[Triple] = field(default_factory=set)
     triples_revision: int = 0
     pair_revision: dict[frozenset[str], int] = field(default_factory=dict)
 
@@ -146,17 +147,15 @@ class MinerState:
         return mirror
 
     def register_triple(self, triple: Triple) -> None:
-        """Record a newly candidate 2-event pattern's relation triple.
+        """Record a newly candidate 2-event pattern's relation triple
+        (each pattern turns candidate once: the gate never flips back).
 
         Bumps the triples revision and remembers, per unordered event
         pair, when a triple of that pair last appeared -- the k >= 3
         rebuild test consults this to find groups whose Iterative Check
         could now accept previously rejected extensions.
         """
-        if triple in self.candidate_triples:
-            return
         self.triples_revision += 1
-        self.candidate_triples.add(triple)
         self.pair_revision[frozenset((triple.first, triple.second))] = (
             self.triples_revision
         )

@@ -9,7 +9,6 @@ from repro.metrics import (
     accuracy_pct,
     measure_peak_memory,
     pattern_set_overlap,
-    time_call,
 )
 
 
@@ -23,13 +22,6 @@ def _result_with(patterns):
         patterns=[SeasonalPattern(single_event_pattern(e), view) for e in patterns],
         stats=MiningStats(),
     )
-
-
-class TestTimeCall:
-    def test_returns_result_and_elapsed(self):
-        result, elapsed = time_call(lambda: 21 * 2)
-        assert result == 42
-        assert elapsed >= 0.0
 
 
 class TestTimer:

@@ -5,10 +5,14 @@ configurations (small coordinate ranges, so exact epsilon-boundary pairs
 are generated constantly), the columnar sweep join must reproduce the
 naive ``product`` + ``relation_of_pair`` enumeration exactly: same
 patterns (relation + orientation), same supports, same deduplicated
-assignments.  A second property runs whole random mining jobs through
-E-STPM and the brute-force :class:`~repro.baselines.naive.NaiveSTPM`
-oracle and compares the results, covering the extension kernel's
-Iterative Check and the lean last level.
+assignments.  The partner index the extension kernel joins against must
+equal a brute-force classification of every instance pair, restricted
+to the relation triples of the candidate 2-event patterns.  A last pair
+of properties runs whole random mining jobs (up to 3- and 4-event
+patterns) through E-STPM and the brute-force
+:class:`~repro.baselines.naive.NaiveSTPM` oracle and compares the
+results, covering the Iterative Check, the lean last level, and levels
+whose parent table is not HLH2.
 """
 
 from itertools import combinations, product
@@ -18,8 +22,8 @@ from hypothesis import strategies as st
 
 from repro import ESTPM, MiningParams, SymbolicDatabase, build_sequence_database
 from repro.baselines.naive import NaiveSTPM
-from repro.core.hlh import HLH1
-from repro.core.instance_index import decode_assignment
+from repro.core.hlh import HLH1, HLHk
+from repro.core.instance_index import PartnerIndex, decode_assignment
 from repro.core.results import results_equivalent
 from repro.core.stpm import collect_pair_patterns
 from repro.events.event import EventInstance
@@ -159,10 +163,60 @@ def test_relation_of_bounds_matches_relation_between(
     ) == relation_between(earlier, later, config)
 
 
+@given(
+    instance_runs("A:1"),
+    instance_runs("B:1"),
+    instance_runs("A:1"),
+    instance_runs("B:1"),
+    relation_configs,
+    st.data(),
+)
+@settings(max_examples=150, deadline=None)
+def test_partner_rows_equal_brute_force(a1, b1, a2, b2, config, data):
+    """For every (existing event, new event, granule), the partner rows
+    are exactly the related instance pairs whose triple belongs to a
+    candidate 2-event pattern, oriented from the existing instance."""
+    events = ("A:1", "B:1")
+    granules = (1, 2)
+    hlh1 = _hlh1_with({"A:1": {1: a1, 2: a2}, "B:1": {1: b1, 2: b2}})
+    # HLH2 holding a random subset of the pair patterns as candidates --
+    # the maxSeason gate's effect, whatever the thresholds.
+    hlh2 = HLHk(k=2)
+    for group in (("A:1", "A:1"), ("A:1", "B:1"), ("B:1", "B:1")):
+        support, assignments = {}, {}
+        collect_pair_patterns(hlh1, *group, granules, config, support, assignments)
+        hlh2.add_group(group, list(granules))
+        for pattern in sorted(support, key=_key):
+            if data.draw(st.booleans()):
+                hlh2.add_pattern(pattern, support[pattern], assignments[pattern])
+    candidate_triples = {pattern.triples[0] for pattern in hlh2.phk}
+    index = PartnerIndex(hlh2)
+    for existing, new, granule in product(events, events, granules):
+        existing_column = hlh1.column_of(existing, granule).instances
+        new_column = hlh1.column_of(new, granule).instances
+        expected: dict[int, dict[int, tuple]] = {}
+        for x, c in product(range(len(existing_column)), range(len(new_column))):
+            if existing == new and x == c:
+                continue
+            located = relation_of_pair(existing_column[x], new_column[c], config)
+            if located is None:
+                continue
+            relation, earlier, later = located
+            triple = (relation, earlier.event, later.event)
+            if triple in candidate_triples:
+                existing_first = earlier is existing_column[x]
+                expected.setdefault(x, {})[c] = (existing_first, triple)
+        rows = index.rows(existing, new, granule)
+        assert {
+            x: {c: (first, tuple(triple)) for c, (first, triple) in row.items()}
+            for x, row in rows.items()
+        } == expected
+
+
 @st.composite
-def mining_inputs(draw):
+def mining_inputs(draw, max_pattern_length=3, max_length=30):
     n_series = draw(st.integers(2, 3))
-    length = draw(st.integers(12, 30))
+    length = draw(st.integers(12, max_length))
     rows = {
         f"S{i}": "".join(
             draw(st.lists(st.sampled_from("01"), min_size=length, max_size=length))
@@ -175,7 +229,7 @@ def mining_inputs(draw):
         dist_interval=(draw(st.integers(0, 2)), draw(st.integers(3, 10))),
         min_season=1,
         relation=draw(relation_configs),
-        max_pattern_length=3,
+        max_pattern_length=max_pattern_length,
     )
     dseq = build_sequence_database(
         SymbolicDatabase.from_rows(rows), draw(st.sampled_from([2, 3]))
@@ -187,8 +241,20 @@ def mining_inputs(draw):
 @settings(max_examples=40, deadline=None)
 def test_whole_jobs_agree_across_kernels(inputs):
     """End-to-end oracle parity under random epsilon/min_overlap configs
-    (exercises the extension kernel's verdict rows + Iterative Check)."""
+    (exercises the extension kernel's partner-index join + Iterative
+    Check)."""
     dseq, params = inputs
     sweep = ESTPM(dseq, params).mine()
     reference = NaiveSTPM(dseq, params).mine()
     assert results_equivalent(sweep, reference)
+
+
+@given(mining_inputs(max_pattern_length=4, max_length=20))
+@settings(max_examples=25, deadline=None)
+def test_four_event_jobs_agree_with_oracle(inputs):
+    """Parity up to 4-event patterns: at k = 4 the parent table is HLH3,
+    not the HLH2 the partner index reads, and k = 3 keeps assignments."""
+    dseq, params = inputs
+    assert results_equivalent(
+        ESTPM(dseq, params).mine(), NaiveSTPM(dseq, params).mine()
+    )

@@ -5,6 +5,8 @@ import pytest
 from repro import ESTPM, MiningParams, PruningConfig, SymbolicDatabase, build_sequence_database
 from repro.core.hlh import HLH1, GroupEntry, HLHk
 from repro.core.pattern import single_event_pattern
+from repro.core.prune import ALL_VARIANTS
+from repro.core.results import results_equivalent
 from repro.core.stpm import mine_seasonal_patterns, series_of
 from repro.events import EventInstance
 from repro.exceptions import MiningError
@@ -50,6 +52,21 @@ class TestFilters:
         for sp in result.patterns:
             series = {series_of(event) for event in sp.pattern.events}
             assert not ({"A", "C"} <= series or {"B", "C"} <= series)
+
+
+    @pytest.mark.parametrize("pruning", ALL_VARIANTS, ids=lambda p: p.label)
+    def test_pair_filter_holds_at_every_level_under_every_pruning(self, pruning):
+        """Excluded series pairs stay unrelated in k >= 3 patterns too:
+        extensions only relate pairs the pair step mined, so all four
+        (lossless) pruning variants agree."""
+        dseq = _dseq({"A": "11001100", "B": "10101010"}, ratio=4)
+        params = _params(max_pattern_length=3)
+        result = ESTPM(dseq, params, pruning, pair_filter=set()).mine()
+        reference = ESTPM(dseq, params, PruningConfig.all(), pair_filter=set()).mine()
+        assert results_equivalent(result, reference)
+        assert result.by_size(3)
+        for sp in result.patterns:
+            assert len({series_of(event) for event in sp.pattern.events}) == 1
 
 
 class TestMaxPatternLength:
